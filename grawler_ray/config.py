@@ -16,7 +16,7 @@ round at scale takes >> 700 ms per host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -87,8 +87,7 @@ class CrawlConfig:
     http_timeout_s: float = 10.0
     http_threads: int = 16           # in-flight requests per fetcher actor
     num_fetch_buckets: int = 32      # corpus hash-bucket count (must match corpus layout)
-    seen_shards: int = 8             # seen-set actor shards
-    robots_shards: int | None = None  # robots-cache actor shards; None = max(2, seen_shards // 2). Size up when many distinct hosts miss the cache per round (each miss is a point read serialized on its shard)
+    seen_shards: int = 8             # state actors: one seen-set shard + the robots cache of its hosts each
     seen_mode: str = "exact"         # "exact" (conformance) | "cuckoo" (scale)
     parse_batch_size: int = 64       # html rows per parse batch (bodies are large)
     parse_concurrency: int | tuple[int, int] | None = None  # actor pool size for parse stage; None = stateless tasks
@@ -111,8 +110,6 @@ class CrawlConfig:
 
     # paths
     out_dir: str = "/tmp/grawler_out"
-
-    extra: dict = field(default_factory=dict)
 
     # the extended-mode MIME set (the formats functions/{pdf,docx,odt,rtf,epub}
     # carry real extractors for)

@@ -49,8 +49,11 @@ def _extract(data: bytes) -> str:
     n = len(s)
     i = 0
     out: list[str] = []
-    # group stack entries: (uc, skipping) — both are group-scoped state
-    stack: list[tuple[int, bool]] = []
+    # group stack entries: (uc, skipping, skip_fallback) — all group-scoped:
+    # a \uN's pending fallback belongs to its group, so a close brace between
+    # \uN and the fallback ends it ({\uN}x keeps x) and a nested group
+    # neither consumes nor inherits it
+    stack: list[tuple[int, bool, int]] = []
     uc = 1
     skipping = False
     pending_high: int | None = None  # high surrogate awaiting its pair
@@ -81,7 +84,8 @@ def _extract(data: bytes) -> str:
     while i < n:
         c = s[i]
         if c == 0x7B:  # {
-            stack.append((uc, skipping))
+            stack.append((uc, skipping, skip_fallback))
+            skip_fallback = 0
             i += 1
             # peek for ignorable destination {\*
             if i < n - 1 and s[i] == 0x5C and s[i + 1] == 0x2A:  # \*
@@ -91,7 +95,7 @@ def _extract(data: bytes) -> str:
         if c == 0x7D:  # }
             if not stack:
                 raise RtfError("unbalanced group close")
-            uc, skipping = stack.pop()
+            uc, skipping, skip_fallback = stack.pop()
             i += 1
             continue
         if c == 0x5C:  # backslash

@@ -20,8 +20,15 @@ SURVEY §3.2) into Dataset stages:
          html; this file IS the round checkpoint AND the documents/words sink
          (documents = column projection; words = explode of the words column)
     post-round (cheap column-pruned reads of the parsed file):
-      commit seen (T1), explode children (M12/M13) + deterministic seq
-      assignment, write trace; next frontier = deferred ∪ children.
+      commit seen (T1), write trace, checkpoint the deferred rows; then, only
+      when another round will run, explode children (M12/M13) + deterministic
+      seq assignment and next frontier = deferred ∪ children (_next_frontier).
+
+The stateful side is ONE actor pool of ``seen_shards`` actors
+(state.pool.StateShard): each holds a seen-set shard and the robots cache of
+the hosts routed to it.  run_crawl waits for the pool once, before round 0
+(``stats["setup_sec"]``), so round-0 admission no longer absorbs actor
+start-up.
 
 Scale notes (10^10-URL frontier):
 - the corpus is hash-bucketed by url (sources/corpus.py) so a round's fetch
@@ -32,7 +39,9 @@ Scale notes (10^10-URL frontier):
   is one int per fetched page per round (bounded by hosts x quota), not per
   child;
 - every round's outputs are partitioned Parquet — a failed run resumes from
-  the last complete round manifest (see resume()).
+  the last complete round manifest: its parsed checkpoint, deferred rows and
+  first child seq rebuild exactly the frontier the next round would have
+  read (run_crawl(resume=True)).
 """
 
 from __future__ import annotations
@@ -54,8 +63,7 @@ import ray.data
 
 from ..config import CrawlConfig
 from ..htmlparse import parse_page
-from ..state.robots_store import RobotsShard
-from ..state.seen import SeenShard
+from ..state.pool import StateShard
 from ..urlops import (
     UrlError,
     canonical_url,
@@ -330,13 +338,14 @@ def _local_quota_batch(cfg: CrawlConfig):
     return fn
 
 
-def _robots_gate_batch(robots_actors, cfg: CrawlConfig):
+def _robots_gate_batch(actors, cfg: CrawlConfig):
     """T3 robots gate, batched per shard (VERDICT r1 item 6): rows marked
-    ``robots-wait`` are routed to their host's robots shard — one
-    ``gate_many`` call per shard per batch, exactly the `_seen_test_batch`
-    shape.  Concurrent batches hitting one host serialize on the shard actor
-    and reuse its cache, so the outcome is deterministic."""
-    nsh = len(robots_actors)
+    ``robots-wait`` are routed to their host's state actor
+    (``xxhash64(host) % shards``) — one ``gate_many`` call per shard per
+    batch, exactly the `_seen_test_batch` shape.  Concurrent batches hitting
+    one host serialize on the shard actor and reuse its cache, so the
+    outcome is deterministic."""
+    nsh = len(actors)
 
     def fn(t: pa.Table) -> pa.Table:
         actions = np.asarray(t.column("action").to_pylist(), dtype=object)
@@ -358,7 +367,7 @@ def _robots_gate_batch(robots_actors, cfg: CrawlConfig):
         refs, order = [], []
         for sh, idxs in by_shard.items():
             refs.append(
-                robots_actors[sh].gate_many.remote(
+                actors[sh].gate_many.remote(
                     [hosts[i] for i in idxs],
                     [bases[i] for i in idxs],
                     [urls[i] for i in idxs],
@@ -717,9 +726,147 @@ def _distributed_children(kids_src, base_seq: int, nparts: int):
     return children_ds, acc
 
 
+def _has_parquet(path: str) -> bool:
+    return os.path.isdir(path) and any(f.endswith(".parquet") for f in os.listdir(path))
+
+
+def _kids_source(rdir: str, opic: bool) -> "ray.data.Dataset":
+    """A round's fetched rows from its parsed checkpoint, pruned to what the
+    seen commit and the child explode read (a round where nothing was
+    admitted wrote no parsed files: empty table)."""
+    path = os.path.join(rdir, "parsed")
+    if _has_parquet(path):
+        return ray.data.read_parquet(
+            path,
+            columns=["seq", "url", "key_hash", "child_urls", "action"]
+            + (["cash"] if opic else []),
+        ).filter(expr="action == 'fetched'")
+    cols = {
+        "seq": pa.array([], pa.int64()),
+        "url": pa.array([], pa.string()),
+        "key_hash": pa.array([], pa.uint64()),
+        "child_urls": pa.array([], pa.list_(pa.string())),
+        "action": pa.array([], pa.string()),
+    }
+    if opic:
+        cols["cash"] = pa.array([], pa.int64())
+    return ray.data.from_arrow(pa.table(cols))
+
+
+def _next_frontier(kids_src, fetched: int, deferred_ds, deferred_rows: int,
+                   base_seq: int, cfg: CrawlConfig):
+    """The next round's frontier: the children of ``kids_src`` (a
+    materialized round's fetched rows) numbered from ``base_seq`` in
+    (parent seq, child index) order, union the round's ``deferred_ds``,
+    capped at ``cfg.frontier_cap``, repartitioned and materialized.  Built
+    by the round loop only when another round will run, and by resume from
+    the last complete round's checkpoints.  Returns (frontier Dataset | None
+    when empty, frontier rows, children rows)."""
+    cluster_cpus = int(ray.cluster_resources().get("CPU", cfg.min_parallelism))
+    if fetched <= cfg.offsets_driver_max:
+        # small/medium rounds: per-parent (seq, child-count) — two int64 per
+        # fetched page, computed DISTRIBUTED and pulled to the driver only
+        # for the prefix sum (numpy argsort/cumsum)
+        _seq_chunks, _len_chunks = [], []
+        for b in kids_src.map_batches(
+            _counts_batch, batch_format="pyarrow"
+        ).iter_batches(batch_format="pyarrow"):
+            _seq_chunks.append(b.column("seq").to_numpy(zero_copy_only=False))
+            _len_chunks.append(b.column("n").to_numpy(zero_copy_only=False))
+        if _seq_chunks:
+            pseq_arr = np.concatenate(_seq_chunks)
+            len_arr = np.concatenate(_len_chunks)
+            order = np.argsort(pseq_arr, kind="stable")
+            pseq_sorted = pseq_arr[order]
+            csum = np.cumsum(len_arr[order])
+            off_sorted = np.concatenate(([0], csum[:-1]))
+            acc = int(csum[-1]) if len(csum) else 0
+        else:
+            pseq_sorted = np.array([], dtype=np.int64)
+            off_sorted = np.array([], dtype=np.int64)
+            acc = 0
+        offsets_ref = ray.put((pseq_sorted, off_sorted))
+
+        def explode_children(t: pa.Table, base=base_seq, oref=offsets_ref) -> pa.Table:
+            pseq_sorted_, off_sorted_ = ray.get(oref)
+            pseqs = t.column("seq").to_pylist()
+            parents = t.column("url").to_pylist()
+            kids = t.column("child_urls").to_pylist()
+            has_cash = "cash" in t.schema.names
+            pcash = t.column("cash").to_pylist() if has_cash else None
+            seqs, urls, purls, kcash = [], [], [], []
+            for j, (pseq, purl, lst) in enumerate(zip(pseqs, parents, kids)):
+                o = int(off_sorted_[np.searchsorted(pseq_sorted_, pseq)])
+                lst = lst or []
+                # OPIC: the page's cash splits equally among its children
+                # (integer //, remainder burned)
+                share = pcash[j] // len(lst) if (has_cash and lst) else 0
+                for ci, k in enumerate(lst):
+                    seqs.append(base + o + ci)
+                    urls.append(k)
+                    purls.append(purl)
+                    kcash.append(share)
+            cols = {
+                "seq": pa.array(seqs, pa.int64()),
+                "url": pa.array(urls, pa.string()),
+                "parent_url": pa.array(purls, pa.string()),
+            }
+            if has_cash:
+                cols["cash"] = pa.array(kcash, pa.int64())
+            return pa.table(cols)
+
+        children_ds = kids_src.map_batches(explode_children, batch_format="pyarrow")
+    else:
+        # huge rounds: fully distributed prefix sum + repartition join — the
+        # driver holds one row per BLOCK, never per page
+        children_ds, acc = _distributed_children(kids_src, base_seq, 4 * cluster_cpus)
+    rows = deferred_rows + acc
+    if rows == 0:
+        return None, 0, 0
+    frontier_ds = deferred_ds.union(children_ds) if deferred_rows else children_ds
+    if cfg.frontier_cap is not None and rows > cfg.frontier_cap:
+        # reference artifact, opt-in: bounded frontier drops the highest-seq
+        # (latest-enqueued) children, approximating the queue-full silent
+        # drop (src/utils/utils.go:192-194)
+        frontier_ds = frontier_ds.sort("seq").limit(cfg.frontier_cap)
+        rows = cfg.frontier_cap
+    # bound the control table's block count: groupby/sort shuffle cost scales
+    # with blocks, and unions would otherwise accumulate tiny blocks round
+    # over round (~100 B/row => 100k rows/block is small).  Block count =
+    # map-stage parallelism for the whole next round (operators fuse onto
+    # these blocks), so it must track cluster CPUs; the cap bounds
+    # sort-shuffle overhead.  Materialized, not written and lazily re-read:
+    # admission then streams from the object store (measured faster).
+    nparts = max(cfg.min_parallelism, min(512, max(4 * cluster_cpus, acc // 100_000 + 1)))
+    return frontier_ds.repartition(nparts).materialize(), rows, acc
+
+
 # ---------------------------------------------------------------------------
 # driver loop
 # ---------------------------------------------------------------------------
+
+def _prefetch_seed_robots(actors, seeds: list[str]) -> list:
+    """Round 0 gates every seed host at once, one small gate call per
+    (admission block, shard); the state actors read those hosts' robots.txt
+    ahead instead, one read per corpus bucket each, while run_crawl builds
+    the seed frontier.  The host split here is a cheap string split: a host
+    it gets wrong only costs a read that the gate never uses.  Returns the
+    calls' refs."""
+    pairs = {}
+    for u in seeds:
+        scheme, sep, rest = u.partition("://")
+        if sep:
+            host = rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]
+            pairs.setdefault(host, f"{scheme}://{host}")
+    hosts = list(pairs)
+    shard = (xxhash64_batch(hosts) % np.uint64(len(actors))).tolist()
+    refs = []
+    for i, a in enumerate(actors):
+        mine = [h for h, s in zip(hosts, shard) if s == i]
+        if mine:
+            refs.append(a.prefetch_robots.remote(mine, [pairs[h] for h in mine]))
+    return refs
+
 
 def _round_dir(out_dir: str, rnd: int) -> str:
     return os.path.join(out_dir, f"round={rnd:04d}")
@@ -762,15 +909,21 @@ def run_crawl(
     resume: bool = False,
 ) -> dict:
     """Run the crawl; returns summary stats.  Ray must already be initialized
-    by the caller (driver contract).
+    by the caller (driver contract).  ``stats["setup_sec"]`` is the time
+    before round 0: the state-actor pool's start-up (with its read-ahead of
+    the seed hosts' robots.txt) overlapped with the seed-frontier build;
+    ``stats["phase_sec"]`` sums the round phases.
 
     ``resume=True``: continue from the last round whose manifest says
-    complete — the next frontier is read from that round's ``frontier_next``
-    checkpoint.  The seen set is restored from that round's per-shard
-    snapshot (``seen/shard=K.parquet``, O(seen set)) when its (mode, shard
-    count) match this run's config; otherwise it is rebuilt by re-committing
-    the ``url`` column of every completed round's parsed file (column-pruned
-    reads, O(history)) — ``stats["seen_restore"]`` records which path ran.
+    complete — the next frontier is rebuilt from that round's checkpoints
+    (parsed fetched rows, ``deferred`` rows, ``first_child_seq``) by the same
+    helper the round loop uses; an out_dir written before rounds stopped
+    writing ``frontier_next`` resumes from that file.  The seen set is
+    restored from that round's per-shard snapshot (``seen/shard=K.parquet``,
+    O(seen set)) when its (mode, shard count) match this run's config;
+    otherwise it is rebuilt by re-committing the ``url`` column of every
+    completed round's parsed file (column-pruned reads, O(history)) —
+    ``stats["seen_restore"]`` records which path ran.
     Interrupted (incomplete) round directories are simply overwritten.
 
     ``resume=False`` treats ``out_dir`` as owned by this run: any round
@@ -808,13 +961,8 @@ def run_crawl(
     _prev_block_size = _ctx.target_max_block_size
     _ctx.target_max_block_size = 32 * 1024 * 1024
 
-    # --- stateful actor pools (T1 seen shards, T3 robots shards) ---
-    SeenActor = ray.remote(num_cpus=0.1)(SeenShard)
-    RobotsActor = ray.remote(num_cpus=0.1)(RobotsShard)
-    seen_actors = [
-        SeenActor.remote(mode=cfg.seen_mode, capacity=1_000_000)
-        for _ in range(cfg.seen_shards)
-    ]
+    # --- one stateful actor pool: seen shard (T1) + robots cache (T3) per
+    # actor; it starts while the seed frontier is built below ---
     initial_robots: dict[str, tuple[str, int]] = {}
     if robots_cache_path and os.path.exists(robots_cache_path):
         rt = pq.read_table(robots_cache_path)
@@ -824,20 +972,26 @@ def run_crawl(
             rt.column("ts").cast(pa.int64()).to_pylist(),  # tz-safe epoch µs
         ):
             initial_robots[h] = (b, ts_us)
-    n_robots_shards = cfg.robots_shards or max(2, cfg.seen_shards // 2)
-    robots_actors = [
-        RobotsActor.remote(
-            corpus_dir,
-            cfg.num_fetch_buckets,
-            cfg.user_agent,
-            cfg.now_us,
-            cfg.robots_ttl_days,
-            {h: v for h, v in initial_robots.items() if xxhash64(h) % n_robots_shards == i},
+    nsh = cfg.seen_shards
+    StateActor = ray.remote(num_cpus=0.1)(StateShard)
+    actors = [
+        StateActor.remote(
+            cfg.seen_mode,
+            1_000_000,
+            corpus_dir=corpus_dir,
+            num_buckets=cfg.num_fetch_buckets,
+            user_agent=cfg.user_agent,
+            now_us=cfg.now_us,
+            ttl_days=cfg.robots_ttl_days,
+            initial={h: v for h, v in initial_robots.items() if xxhash64(h) % nsh == i},
             fetch_mode=cfg.fetch_mode,
             http_timeout_s=cfg.http_timeout_s,
         )
-        for i in range(n_robots_shards)
+        for i in range(nsh)
     ]
+    pending = [a.ready.remote() for a in actors]
+    if not resume and cfg.fetch_mode == "corpus":
+        pending += _prefetch_seed_robots(actors, seeds)
 
     start_round = 0
     _opic = cfg.frontier_order == "opic"
@@ -863,7 +1017,11 @@ def run_crawl(
     )
     next_seq = len(seeds)
     frontier_rows = len(seeds)
-    stats = {"rounds": 0, "fetched": 0, "frontier_total": len(seeds)}
+    ray.get(pending)
+    stats = {
+        "rounds": 0, "fetched": 0, "frontier_total": len(seeds),
+        "setup_sec": time.monotonic() - t0,
+    }
 
     if resume:
         done = _completed_rounds(out_dir)
@@ -917,7 +1075,7 @@ def run_crawl(
             if snap_ok:
                 ray.get(
                     [
-                        seen_actors[i].load.remote(
+                        actors[i].load.remote(
                             os.path.join(seen_dir, f"shard={i}.parquet")
                         )
                         for i in range(cfg.seen_shards)
@@ -936,7 +1094,7 @@ def run_crawl(
                 # fallback: rebuild the seen set by re-committing fetched
                 # urls of all completed rounds (column-pruned reads;
                 # O(history))
-                commit = _commit_seen_batch(seen_actors, cfg)
+                commit = _commit_seen_batch(actors, cfg)
 
                 def _recommit(t: pa.Table) -> pa.Table:
                     commit(t)
@@ -985,12 +1143,33 @@ def run_crawl(
                         .count()
                     )
                 stats["fetched"] = total
-            fpath = os.path.join(_round_dir(out_dir, last), "frontier_next")
-            if man.get("next_frontier_rows", 0) > 0 and os.path.isdir(fpath):
-                # re-bound + materialize like the seed frontier: the file's
-                # block count reflects the PREVIOUS run's cluster, and the
-                # control-table rule is block count = this cluster's map
-                # parallelism for the whole first resumed round
+            last_dir = _round_dir(out_dir, last)
+            fpath = os.path.join(last_dir, "frontier_next")
+            if start_round >= cfg.max_rounds or man.get("seq_cutoff") is not None:
+                frontier_rows = 0  # nothing left to run
+            elif "first_child_seq" in man:
+                # the frontier the next round would have read, rebuilt from
+                # the last round's parsed checkpoint + deferred rows
+                kids = _kids_source(last_dir, _opic).materialize()
+                deferred_rows = man["deferred_rows"]
+                frontier_ds, frontier_rows, acc = _next_frontier(
+                    kids,
+                    kids.count(),
+                    ray.data.read_parquet(os.path.join(last_dir, "deferred"))
+                    if deferred_rows else None,
+                    deferred_rows,
+                    man["first_child_seq"],
+                    cfg,
+                )
+                next_seq = man["first_child_seq"] + acc
+                stats["frontier_total"] += acc
+            elif man.get("next_frontier_rows", 0) > 0 and os.path.isdir(fpath):
+                # an out_dir written before rounds stopped writing
+                # frontier_next: re-bound + materialize it like the seed
+                # frontier — the file's block count reflects the PREVIOUS
+                # run's cluster, and the control-table rule is block count =
+                # this cluster's map parallelism for the whole first resumed
+                # round
                 frontier_ds = (
                     ray.data.read_parquet(fpath)
                     .repartition(max(cfg.min_parallelism, min(512, 4 * _cpus0)))
@@ -998,7 +1177,6 @@ def run_crawl(
                 )
                 frontier_rows = man["next_frontier_rows"]
             else:
-                frontier_ds = ray.data.from_arrow(frontier.slice(0, 0))
                 frontier_rows = 0
 
     try:
@@ -1040,7 +1218,7 @@ def run_crawl(
             adm_groups = max(cfg.min_parallelism, min(512, 4 * _cpus0))
             prepared = frontier_ds.map_batches(
                 _prepare_batch(cfg, adm_groups), batch_format="pyarrow"
-            ).map_batches(_seen_test_batch(seen_actors, cfg), batch_format="pyarrow")
+            ).map_batches(_seen_test_batch(actors, cfg), batch_format="pyarrow")
             if cfg.admission_mode == "skew":
                 # skew-aware path (north rule: hot domains must not become
                 # one straggler group): global first-wins dedup on a coarse
@@ -1062,14 +1240,14 @@ def run_crawl(
                 )
                 admission = (
                     cand_part.union(base.filter(expr="cand == 0"))
-                    .map_batches(_robots_gate_batch(robots_actors, cfg), batch_format="pyarrow")
+                    .map_batches(_robots_gate_batch(actors, cfg), batch_format="pyarrow")
                     .materialize()
                 )
             else:
                 admission = (
                     prepared.groupby("hg")
                     .map_groups(_admission_group(cfg), batch_format="pandas")
-                    .map_batches(_robots_gate_batch(robots_actors, cfg), batch_format="pyarrow")
+                    .map_batches(_robots_gate_batch(actors, cfg), batch_format="pyarrow")
                     .materialize()
                 )
             _phase("admission")
@@ -1109,9 +1287,7 @@ def run_crawl(
             _phase("fetch_parse_write")
 
             # a round where nothing was admitted writes no parsed files at all
-            parsed_exists = os.path.isdir(os.path.join(rdir, "parsed")) and any(
-                f.endswith(".parquet") for f in os.listdir(os.path.join(rdir, "parsed"))
-            )
+            parsed_exists = _has_parquet(os.path.join(rdir, "parsed"))
 
             # ---- max_urls budget (mirrors oracle.py:166): the oracle stops
             # mid-round at the fetch that reaches the budget; everything after
@@ -1180,34 +1356,19 @@ def run_crawl(
             # The seen commit (AFTER parse success, crawler.go:178) rides this
             # materialize as a pass-through map — idempotent on the shard, so
             # a retried task is harmless.
-            _commit = _commit_seen_batch(seen_actors, cfg)
+            _commit = _commit_seen_batch(actors, cfg)
 
             def _commit_passthrough(t: pa.Table) -> pa.Table:
                 _commit(t)
                 return t
 
+            kids_src = _kids_source(rdir, _opic)
+            if seq_cutoff is not None:
+                kids_src = kids_src.filter(expr=f"seq <= {seq_cutoff}")
             if parsed_exists:
-                kids_src = ray.data.read_parquet(
-                    os.path.join(rdir, "parsed"),
-                    columns=["seq", "url", "key_hash", "child_urls", "action"]
-                    + (["cash"] if _opic else []),
-                ).filter(expr="action == 'fetched'")
-                if seq_cutoff is not None:
-                    kids_src = kids_src.filter(expr=f"seq <= {seq_cutoff}")
                 kids_src = kids_src.map_batches(
                     _commit_passthrough, batch_format="pyarrow"
                 ).materialize()
-            else:
-                _empty_cols = {
-                    "seq": pa.array([], pa.int64()),
-                    "url": pa.array([], pa.string()),
-                    "key_hash": pa.array([], pa.uint64()),
-                    "child_urls": pa.array([], pa.list_(pa.string())),
-                    "action": pa.array([], pa.string()),
-                }
-                if _opic:
-                    _empty_cols["cash"] = pa.array([], pa.int64())
-                kids_src = ray.data.from_arrow(pa.table(_empty_cols))
             committed = kids_src.count()
             stats["fetched"] += int(committed)
             _phase("kids_read_commit")
@@ -1222,147 +1383,61 @@ def run_crawl(
                         a.save.remote(
                             os.path.join(rdir, "seen", f"shard={i}.parquet")
                         )
-                        for i, a in enumerate(seen_actors)
+                        for i, a in enumerate(actors)
                     ]
                 )
                 with open(os.path.join(rdir, "seen", "meta.json"), "w") as f:
                     json.dump({"mode": cfg.seen_mode, "shards": cfg.seen_shards}, f)
                 _phase("seen_snapshot")
 
+            manifest = {
+                "round": rnd,
+                "admitted_rows": int(committed),
+                "deferred_rows": 0,
+                "first_child_seq": next_seq,
+                "children_rows": None,
+                "next_frontier_rows": None,
+                "next_seq": None,
+                "seq_cutoff": seq_cutoff,
+                "complete": True,
+                "respect_nofollow": cfg.respect_nofollow,
+            }
             if stop_after_round:
                 # budget reached mid-round: no next frontier, crawl is over
                 # (readers apply seq_cutoff from this manifest to the round's
                 # parsed files — they were written before the cutoff was known)
-                with open(os.path.join(rdir, "manifest.json"), "w") as f:
-                    json.dump(
-                        {
-                            "round": rnd,
-                            "admitted_rows": int(committed),
-                            "next_frontier_rows": 0,
-                            "next_seq": next_seq,
-                            "seq_cutoff": seq_cutoff,
-                            "complete": True,
-                            "respect_nofollow": cfg.respect_nofollow,
-                            **_lineage(),
-                        },
-                        f,
+                manifest.update(next_frontier_rows=0, next_seq=next_seq)
+            else:
+                # ---- round checkpoint for resume: the deferred rows (with
+                # the parsed file and first_child_seq they rebuild the next
+                # frontier); the frontier itself is built only when another
+                # round will run ----
+                deferred_ds = (
+                    admission.filter(expr="action == 'deferred'")
+                    .select_columns(["seq", "url", "parent_url"] + (["cash"] if _opic else []))
+                    .materialize()
+                )
+                deferred_rows = deferred_ds.count()
+                if deferred_rows:
+                    deferred_ds.write_parquet(os.path.join(rdir, "deferred"))
+                manifest["deferred_rows"] = deferred_rows
+                if rnd + 1 < cfg.max_rounds:
+                    frontier_ds, frontier_rows, acc = _next_frontier(
+                        kids_src, committed, deferred_ds, deferred_rows, next_seq, cfg
                     )
+                    next_seq += acc
+                    stats["frontier_total"] += acc
+                    manifest.update(
+                        children_rows=acc, next_frontier_rows=frontier_rows, next_seq=next_seq
+                    )
+                _phase("next_frontier")
+            with open(os.path.join(rdir, "manifest.json"), "w") as f:
+                json.dump({**manifest, **_lineage()}, f)
+            if stop_after_round:
                 break
 
-            # ---- children: explode + deterministic seq assignment ----
-            cluster_cpus = int(ray.cluster_resources().get("CPU", cfg.min_parallelism))
-            base_seq = next_seq
-            if committed <= cfg.offsets_driver_max:
-                # small/medium rounds: per-parent (seq, child-count) — two
-                # int64 per fetched page, computed DISTRIBUTED and pulled to
-                # the driver only for the prefix sum (numpy argsort/cumsum)
-                _seq_chunks, _len_chunks = [], []
-                for b in kids_src.map_batches(
-                    _counts_batch, batch_format="pyarrow"
-                ).iter_batches(batch_format="pyarrow"):
-                    _seq_chunks.append(b.column("seq").to_numpy(zero_copy_only=False))
-                    _len_chunks.append(b.column("n").to_numpy(zero_copy_only=False))
-                if _seq_chunks:
-                    pseq_arr = np.concatenate(_seq_chunks)
-                    len_arr = np.concatenate(_len_chunks)
-                    order = np.argsort(pseq_arr, kind="stable")
-                    pseq_sorted = pseq_arr[order]
-                    csum = np.cumsum(len_arr[order])
-                    off_sorted = np.concatenate(([0], csum[:-1]))
-                    acc = int(csum[-1])
-                else:
-                    pseq_sorted = np.array([], dtype=np.int64)
-                    off_sorted = np.array([], dtype=np.int64)
-                    acc = 0
-                offsets_ref = ray.put((pseq_sorted, off_sorted))
-
-                def explode_children(t: pa.Table, base=base_seq, oref=offsets_ref) -> pa.Table:
-                    pseq_sorted_, off_sorted_ = ray.get(oref)
-                    pseqs = t.column("seq").to_pylist()
-                    parents = t.column("url").to_pylist()
-                    kids = t.column("child_urls").to_pylist()
-                    has_cash = "cash" in t.schema.names
-                    pcash = t.column("cash").to_pylist() if has_cash else None
-                    seqs, urls, purls, kcash = [], [], [], []
-                    for j, (pseq, purl, lst) in enumerate(zip(pseqs, parents, kids)):
-                        o = int(off_sorted_[np.searchsorted(pseq_sorted_, pseq)])
-                        lst = lst or []
-                        # OPIC: the page's cash splits equally among its
-                        # children (integer //, remainder burned)
-                        share = pcash[j] // len(lst) if (has_cash and lst) else 0
-                        for ci, k in enumerate(lst):
-                            seqs.append(base + o + ci)
-                            urls.append(k)
-                            purls.append(purl)
-                            kcash.append(share)
-                    cols = {
-                        "seq": pa.array(seqs, pa.int64()),
-                        "url": pa.array(urls, pa.string()),
-                        "parent_url": pa.array(purls, pa.string()),
-                    }
-                    if has_cash:
-                        cols["cash"] = pa.array(kcash, pa.int64())
-                    return pa.table(cols)
-
-                children_ds = kids_src.map_batches(explode_children, batch_format="pyarrow")
-            else:
-                # huge rounds: fully distributed prefix sum + repartition
-                # join — the driver holds one row per BLOCK, never per page
-                children_ds, acc = _distributed_children(
-                    kids_src, base_seq, 4 * cluster_cpus
-                )
-            next_seq += acc
-
-            deferred_ds = admission.filter(expr="action == 'deferred'").select_columns(
-                ["seq", "url", "parent_url"] + (["cash"] if _opic else [])
-            )
-            # bound the control table's block count: groupby/sort shuffle cost
-            # scales with blocks, and unions would otherwise accumulate tiny
-            # blocks round over round (~100 B/row => 100k rows/block is small)
-            # block count = map-stage parallelism for the whole next round
-            # (operators fuse onto these blocks), so it must track cluster
-            # CPUs; the cap bounds sort-shuffle overhead on the control table
-            nparts = max(
-                cfg.min_parallelism,
-                min(512, max(4 * cluster_cpus, acc // 100_000 + 1)),
-            )
-            # materialized, nparts-balanced control table: next round's map
-            # parallelism = these blocks (measured faster than writing the
-            # frontier and re-reading it lazily — admission then streams from
-            # the object store, not from many tiny parquet files)
-            frontier_ds = deferred_ds.union(children_ds).repartition(nparts).materialize()
-            next_rows = frontier_ds.count()  # metadata-only on materialized ds
-            if cfg.frontier_cap is not None and next_rows > cfg.frontier_cap:
-                # reference artifact, opt-in: bounded frontier drops the
-                # highest-seq (latest-enqueued) children, approximating the
-                # queue-full silent drop (src/utils/utils.go:192-194)
-                frontier_ds = frontier_ds.sort("seq").limit(cfg.frontier_cap).materialize()
-                next_rows = cfg.frontier_cap
-            if next_rows > 0:
-                # frontier checkpoint: with the manifest this makes the round
-                # the unit of resume (see run_crawl resume=True)
-                frontier_ds.write_parquet(os.path.join(rdir, "frontier_next"))
-            frontier_rows = next_rows
-            _phase("next_frontier")
-            stats["frontier_total"] += acc
-
-            with open(os.path.join(rdir, "manifest.json"), "w") as f:
-                json.dump(
-                    {
-                        "round": rnd,
-                        "admitted_rows": int(committed),
-                        "next_frontier_rows": next_rows,
-                        "next_seq": next_seq,
-                        "seq_cutoff": None,
-                        "complete": True,
-                        "respect_nofollow": cfg.respect_nofollow,
-                        **_lineage(),
-                    },
-                    f,
-                )
-
         # final robots snapshot (↔ Robots collection, db.go:102-109)
-        rows = [r for snap in ray.get([a.snapshot.remote() for a in robots_actors]) for r in snap]
+        rows = [r for snap in ray.get([a.robots_snapshot.remote() for a in actors]) for r in snap]
         if rows:
             t = pa.table(
                 {
@@ -1374,7 +1449,7 @@ def run_crawl(
             pq.write_table(t.sort_by("host"), os.path.join(out_dir, "robots_final.parquet"))
     finally:
         _ctx.target_max_block_size = _prev_block_size
-        for a in seen_actors + robots_actors:
+        for a in actors:
             ray.kill(a)
 
     stats["wall_sec"] = time.monotonic() - t0

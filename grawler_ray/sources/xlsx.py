@@ -29,6 +29,9 @@ from xml.sax.saxutils import escape
 import pyarrow as pa
 
 MAIN_NS = "http://schemas.openxmlformats.org/spreadsheetml/2006/main"
+# integer-form numeric cells parse with int(), not through a float: int64
+# ids above 2^53 (xxhash-derived keys) must round-trip exactly
+_INT_RE = re.compile(r"[-+]?\d+")
 
 
 class XlsxError(ValueError):
@@ -112,9 +115,10 @@ def _read(data: bytes) -> pa.Table:
                     val = shared[int(raw)]
                 elif ctype in ("str", "b"):
                     val = raw
+                elif _INT_RE.fullmatch(raw.strip()):  # exact past 2^53
+                    val = int(raw)
                 else:  # number
-                    f = float(raw)
-                    val = int(f) if f.is_integer() and "." not in raw and "e" not in raw.lower() else f
+                    val = float(raw)
             cells[col] = val
         rows.append(cells)
     if not rows:

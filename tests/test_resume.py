@@ -161,3 +161,76 @@ def test_resume_rejects_toggled_respect_nofollow(setup, tmp_path):
     # same flag resumes fine
     s = run_crawl(CORPUS, seeds, _cfg(out, 4), robots_cache_path=ROBOTS, resume=True)
     assert s.get("resumed_from_round") == 1
+
+
+def test_final_round_checkpoints_deferred_not_frontier(setup):
+    """Rounds checkpoint their deferred rows + first child seq; the last
+    round of a call builds no next frontier.  Resume rebuilds that frontier
+    from the checkpoints — and an out_dir from before this layout (a
+    frontier_next file, no first_child_seq) still resumes from its file.
+    Both equal the uninterrupted run, trace included (children seqs are
+    numbered identically)."""
+    import json
+    import os
+
+    from grawler_ray.pipelines.crawl import read_documents, read_trace, run_crawl
+
+    seeds = seed_urls(4, 2)
+    out = "/tmp/gr_resume_deferred"
+    legacy = "/tmp/gr_resume_legacy"
+    for d in (out, legacy):
+        shutil.rmtree(d, ignore_errors=True)
+    s1 = run_crawl(CORPUS, seeds, _cfg(out, 3), robots_cache_path=ROBOTS)
+    assert s1["rounds"] == 3 and s1["setup_sec"] > 0
+
+    def man(d, r):
+        with open(os.path.join(d, f"round={r:04d}", "manifest.json")) as f:
+            return json.load(f)
+
+    mans = [man(out, r) for r in range(3)]
+    assert not any(
+        os.path.exists(os.path.join(out, f"round={r:04d}", "frontier_next")) for r in range(3)
+    )
+    assert mans[-1]["children_rows"] is None and mans[-1]["next_frontier_rows"] is None
+    assert all(isinstance(m["children_rows"], int) for m in mans[:-1])
+    assert sum(m["deferred_rows"] for m in mans) > 0  # per_host_quota=3 defers
+    for r, m in enumerate(mans):
+        ddir = os.path.join(out, f"round={r:04d}", "deferred")
+        assert os.path.isdir(ddir) == (m["deferred_rows"] > 0)
+    # mans[r+1] numbers its children right after round r's
+    for a, b in zip(mans, mans[1:]):
+        assert b["first_child_seq"] == a["first_child_seq"] + a["children_rows"]
+
+    # legacy layout: the frontier the uninterrupted run's round 3 read (its
+    # trace rows), as a frontier_next file in a manifest without
+    # first_child_seq
+    shutil.copytree(out, legacy)
+    trace3 = read_trace(OUT_FULL).to_pandas().query("round == 3")
+    assert len(trace3)
+    full2 = man(OUT_FULL, 2)
+    old = {k: v for k, v in mans[-1].items() if k not in (
+        "first_child_seq", "deferred_rows", "children_rows")}
+    old.update(next_frontier_rows=len(trace3), next_seq=full2["next_seq"])
+    with open(os.path.join(legacy, "round=0002", "manifest.json"), "w") as f:
+        json.dump(old, f)
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    fdir = os.path.join(legacy, "round=0002", "frontier_next")
+    os.makedirs(fdir)
+    pq.write_table(
+        pa.Table.from_pandas(trace3[["seq", "url", "parent_url"]], preserve_index=False),
+        os.path.join(fdir, "part.parquet"),
+    )
+
+    full_docs = read_documents(OUT_FULL).to_pandas().sort_values("url").reset_index(drop=True)
+    full_trace = (
+        read_trace(OUT_FULL).to_pandas().sort_values(["round", "seq"]).reset_index(drop=True)
+    )
+    for d in (out, legacy):
+        s2 = run_crawl(CORPUS, seeds, _cfg(d, 7), robots_cache_path=ROBOTS, resume=True)
+        assert s2.get("resumed_from_round") == 2
+        docs = read_documents(d).to_pandas().sort_values("url").reset_index(drop=True)
+        pd.testing.assert_frame_equal(full_docs, docs)
+        trace = read_trace(d).to_pandas().sort_values(["round", "seq"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(full_trace, trace)

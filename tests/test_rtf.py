@@ -60,6 +60,13 @@ class TestHandBuilt:
         hand = rb"{\rtf1\uc1 {\uc2\u269 ??}X\u269 ?Y}"
         assert extract_rtf_text(hand) == "čXčY"
 
+    def test_group_close_ends_pending_fallback(self):
+        # the \uN fallback count is group state: the close brace ends it,
+        # so the outer x is text, not the fallback of the inner \u269
+        assert extract_rtf_text(rb"{\rtf1 {\u269}x}") == "\u010dx"
+        # a nested group neither consumes nor inherits a pending fallback
+        assert extract_rtf_text(rb"{\rtf1 \u269{y}?z}") == "\u010dyz"
+
     def test_unknown_control_words_ignored(self):
         assert extract_rtf_text(rb"{\rtf1\ansi\b bold\b0\i  it\i0}") == "bold it"
 

@@ -116,6 +116,22 @@ class TestHandBuilt:
         assert t.column("a").to_pylist() == [7, None]
         assert t.column("b").to_pylist() == [250.0, -1.5]
 
+    def test_integer_cells_exact_past_2_53(self):
+        # 2^53 + 1 is not a float64: parsing through float() read ...992
+        big = 9007199254740993
+        sheet = (
+            f'<worksheet xmlns="{MAIN_NS}"><sheetData>'
+            '<row r="1"><c t="inlineStr"><is><t>id</t></is></c></row>'
+            f'<row r="2"><c><v>{big}</v></c></row>'
+            f'<row r="3"><c><v>-{big}</v></c></row>'
+            "</sheetData></worksheet>"
+        )
+        t = read_xlsx_table(_mini_xlsx(sheet))
+        assert t.column("id").type == pa.int64()
+        assert t.column("id").to_pylist() == [big, -big]
+        rt = read_xlsx_table(write_xlsx(pa.table({"id": pa.array([big], pa.int64())})))
+        assert rt.column("id").to_pylist() == [big]
+
     def test_shared_string_multi_run(self):
         sst = (
             f'<sst xmlns="{MAIN_NS}"><si><r><t>He</t></r><r><t>llo</t></r></si>'
