@@ -471,28 +471,30 @@ def minhash_dedup(
     afterwards in a vectorized (a, b) hash aggregate.
 
     ``verify="join"``: candidate pairs are found from (band, band_hash,
-    doc_id) rows only (~20 B/doc/band shuffled) and deduped; the text then
-    moves through ONE repartition-join shuffle (union docs + pair-side
-    requests, groupby doc hash) that computes each candidate's shingle blob
-    once and fans it out to its pair sides; a final groupby on the pair key
-    verifies.  Minimizes shuffled text/blob bytes (docs move once, blobs
-    once per pair side — never once per band) — the right trade once the
-    banded blob volume dwarfs the candidate set (very large corpora).  Built
-    on Ray's native sort shuffle: Ray 2.49's Acero-based Dataset.join breaks
-    on empty hash partitions and its per-join aggregator actor pools can
-    deadlock each other, so no Dataset.join here.
+    doc_id) rows only (~20 B/doc/band shuffled); the text then reaches
+    ``verify_pairs_join``, which computes each candidate's shingle blob
+    once and moves it once per pair side — never once per band — the right
+    trade once the banded blob volume dwarfs the candidate set (very large
+    corpora).  Built on Ray's native sort shuffle: Ray 2.49's Acero-based
+    Dataset.join breaks on empty hash partitions and its per-join
+    aggregator actor pools can deadlock each other, so no Dataset.join
+    here.  Exchanges, by the raw candidate rows (a pair found by k bands
+    is k rows) against ``driver_max_members``:
 
-    Join-path sizing (round 4): only docs that appear in a candidate pair
-    need their shingle blob, so when the distinct member count fits
-    ``driver_max_members`` (8 B/id broadcast) the doc side is first
-    broadcast-FILTERED to members — the payload join then moves text ∝
-    candidates, not ∝ corpus, and in the common low-dup case it is
-    near-free.  Above the guard, the full corpus rides the join once, and
-    BOTH union sides are materialized first: a lazy union of two
-    task-produced sides livelocks Ray 2.49's streaming executor at scale
-    (each side's pinned outputs exhaust the memory budget the union's
-    consumer Sort needs to start — observed stuck at 0 tasks for minutes
-    at 900k docs).
+    - ``2 x raw rows <= driver_max_members`` (the common case): LSH band
+      ``gkey`` groupby, then the raw rows go to ``verify_pairs_join``'s
+      broadcast path, which dedups them on the driver and verifies in ONE
+      pair-key ``pg`` groupby — two exchanges in all.
+    - above it: the raw rows are first deduped by an ``(a, b)`` Count
+      aggregate (so a full-corpus verify does not fan a blob out once per
+      band); ``verify_pairs_join`` then takes its broadcast path if the
+      unique pairs fit the guard (three exchanges), else its full-corpus
+      path (four: ``gkey``, ``(a, b)``, ``dg``, ``pg``).  On the
+      full-corpus path BOTH union sides are materialized first: a lazy
+      union of two task-produced sides livelocks Ray 2.49's streaming
+      executor at scale (each side's pinned outputs exhaust the memory
+      budget the union's consumer Sort needs to start — observed stuck at
+      0 tasks for minutes at 900k docs).
     """
     from ray.data.aggregate import Count, Min
 
@@ -517,21 +519,26 @@ def minhash_dedup(
         sigs.map_batches(lsh_band_explode(num_bands, num_groups), batch_format="pyarrow")
         .groupby("gkey")
         .map_groups(bucket_pairs(max_bucket), batch_format="pandas")
-        # arrow blocks: pandas-block multi-key aggregates are a ~20x Ray
-        # 2.49 slow path (user_retention measurement, round 4)
-        .map_batches(lambda t: t, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="_nb"))
-        .select_columns(["a", "b"])
-        # MATERIALIZED on purpose (round 4): lazily, the doc_rows payload
-        # branch below races ahead of candidate discovery, pins its output
-        # in the object store, and the executor backpressures the
-        # signature stage to ~2 tasks while the union waits on this very
-        # branch — observed live at 900k docs (32 cpus crawling at 2
-        # wide).  The candidate set is small (∝ near-dups), so pinning it
-        # sequences discovery at full width before any payload moves.
+        # MATERIALIZED on purpose (round 4): lazily, the verify's payload
+        # branch races ahead of candidate discovery, pins its output in
+        # the object store, and the executor backpressures the signature
+        # stage to ~2 tasks while the union waits on this very branch —
+        # observed live at 900k docs (32 cpus crawling at 2 wide).  The
+        # candidate set is small (∝ near-dups), so pinning it sequences
+        # discovery at full width before any payload moves.
         .materialize()
     )
+    if 2 * pairs.count() > driver_max_members:
+        # too many raw rows to pull: dedup the pairs several bands found
+        # first.  Arrow blocks: pandas-block multi-key aggregates are a
+        # ~20x Ray 2.49 slow path (user_retention measurement, round 4)
+        pairs = (
+            pairs.map_batches(lambda t: t, batch_format="pyarrow")
+            .groupby(["a", "b"])
+            .aggregate(Count(alias_name="_nb"))
+            .select_columns(["a", "b"])
+            .materialize()
+        )
 
     return verify_pairs_join(
         docs_ds,
@@ -550,16 +557,28 @@ def verify_pairs_join(
     num_partitions: int = 16,
     driver_max_members: int = 2_000_000,
 ):
-    """Exact-Jaccard verification of candidate ``(a, b)`` pairs via ONE
-    repartition join (union docs + pair-side requests, groupby doc-id
-    hash): each candidate doc's shingle blob is computed once and fanned
-    out to its pair sides; a final coarse pair-key groupby computes the
-    exact Jaccard and filters by ``threshold``.  Returns (a, b, jaccard)
-    with a < b.  Factored out of ``minhash_dedup(verify="join")`` — see
-    its docstring for the member-filter sizing and the union-livelock
-    rationale — so the prefix-filter ``ssjoin_pairs`` reuses the same
-    tested machinery.  ``pairs`` must be a Dataset with int64 columns
-    a, b (a < b, already unique).
+    """Exact-Jaccard verification of candidate ``(a, b)`` pairs (int64,
+    a < b; a pair may repeat and is verified and returned once).  Returns
+    (a, b, jaccard) rows with ``jaccard >= threshold``.  Shared by
+    ``minhash_dedup(verify="join")``, ``ssjoin_pairs`` and
+    ``cross_ssjoin_pairs``.  Two paths, by ``2 x pair rows`` against
+    ``driver_max_members``; both are asserted equal in
+    tests/test_dedup_pipelines.py (``driver_max_members=0`` forces the
+    second):
+
+    - Broadcast (at or below the guard, the common case): ONE exchange.
+      The pair list comes to the driver and is deduped with ``np.unique``;
+      its pair sides, (doc id, other id) at 16 B each, are sorted by doc id
+      and ``ray.put`` once (at most 32 MB at the default guard).  One map
+      over the docs keeps only member docs, computes their shingle blobs
+      with ``shingles_batch`` and emits one (pa, pb, side_did, sh, pg) row
+      per pair side; a ``pg`` (pair-key hash) groupby verifies.  Text is
+      never shuffled, and the blob moves once per pair side.
+    - Full corpus (above the guard): TWO exchanges.  Docs ∪ pair-side
+      requests are grouped by doc-id hash (``dg``) to attach each
+      candidate's blob to its pair sides, then the ``pg`` groupby
+      verifies.  Both union sides are materialized first (livelock note
+      in ``minhash_dedup``).
     """
     # repartition join 1: docs ∪ pair-side requests, grouped by doc id hash.
     # Schema: (did, pa, pb, text); request rows carry text=None.
@@ -620,11 +639,14 @@ def verify_pairs_join(
             }
         )
 
+    def pair_group(pa_: np.ndarray, pb_: np.ndarray) -> pa.Array:
+        g = ((pa_.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ pb_.astype(np.uint64)) % np.uint64(num_partitions * 16)
+        return pa.array(g.astype(np.int64), pa.int64())
+
     def pair_hash(t: pa.Table) -> pa.Table:
         pa_ = t.column("pa").to_numpy(zero_copy_only=False)
         pb_ = t.column("pb").to_numpy(zero_copy_only=False)
-        g = ((pa_.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ pb_.astype(np.uint64)) % np.uint64(num_partitions * 16)
-        return t.append_column("pg", pa.array(g.astype(np.int64), pa.int64()))
+        return t.append_column("pg", pair_group(pa_, pb_))
 
     def did_hash(t: pa.Table) -> pa.Table:
         d = t.column("did").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -681,39 +703,58 @@ def verify_pairs_join(
     doc_side = docs_ds.select_columns(["doc_id", "text"])
     if 2 * n_pairs <= driver_max_members:
         pdf = pairs.to_pandas()
-        members = np.unique(
-            np.concatenate(
-                [pdf["a"].to_numpy(np.int64), pdf["b"].to_numpy(np.int64)]
-            )
+        ab = np.unique(
+            np.stack(
+                [pdf["a"].to_numpy(np.int64), pdf["b"].to_numpy(np.int64)], axis=1
+            ),
+            axis=0,
         )
-        mref = ray.put(members)
+        # pair sides (doc id, other side's id), sorted by doc id
+        side = np.concatenate([ab[:, 0], ab[:, 1]])
+        other = np.concatenate([ab[:, 1], ab[:, 0]])
+        order = np.argsort(side, kind="stable")
+        sref = ray.put((side[order], other[order]))
 
-        def member_filter(t: pa.Table) -> pa.Table:
-            mem = ray.get(mref)
+        def side_rows(t: pa.Table) -> pa.Table:
+            sd, so = ray.get(sref)
             ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(mem, ids)
-            ok = (pos < len(mem)) & (mem[np.minimum(pos, len(mem) - 1)] == ids)
-            return t.filter(pa.array(ok))
+            lo = np.searchsorted(sd, ids, "left")
+            cnt = np.searchsorted(sd, ids, "right") - lo
+            mem = np.flatnonzero(cnt)  # member docs of this block
+            blobs = shingles_batch(t.column("text").take(mem).to_pylist(), k)
+            # one output row per pair side: member r spans sides lo..lo+cnt
+            reps = cnt[mem]
+            doc_of = np.repeat(np.arange(len(mem)), reps)
+            first = np.cumsum(reps) - reps
+            idx = np.repeat(lo[mem] - first, reps) + np.arange(int(reps.sum()))
+            sdid, oth = sd[idx], so[idx]
+            pa_, pb_ = np.minimum(sdid, oth), np.maximum(sdid, oth)
+            return pa.table(
+                {
+                    "pa": pa.array(pa_, pa.int64()),
+                    "pb": pa.array(pb_, pa.int64()),
+                    "side_did": pa.array(sdid, pa.int64()),
+                    "sh": pa.array([b.tobytes() for b in blobs], pa.binary()).take(
+                        pa.array(doc_of, pa.int64())
+                    ),
+                    "pg": pair_group(pa_, pb_),
+                }
+            )
 
-        doc_side = doc_side.map_batches(member_filter, batch_format="pyarrow")
-        req_side = pairs.map_batches(requests, batch_format="pyarrow")
+        sides = doc_side.map_batches(side_rows, batch_format="pyarrow")
     else:
         # full-corpus join: pin both sides first (livelock note above)
         doc_side = doc_side.materialize()
         req_side = pairs.map_batches(requests, batch_format="pyarrow").materialize()
-
-    sides = (
-        req_side
-        .union(doc_side.map_batches(doc_rows, batch_format="pyarrow"))
-        .map_batches(did_hash, batch_format="pyarrow")
-        .groupby("dg")
-        .map_groups(attach_blobs, batch_format="pandas")
-    )
-    return (
-        sides.map_batches(pair_hash, batch_format="pyarrow")
-        .groupby("pg")
-        .map_groups(verify_group, batch_format="pandas")
-    )
+        sides = (
+            req_side
+            .union(doc_side.map_batches(doc_rows, batch_format="pyarrow"))
+            .map_batches(did_hash, batch_format="pyarrow")
+            .groupby("dg")
+            .map_groups(attach_blobs, batch_format="pandas")
+            .map_batches(pair_hash, batch_format="pyarrow")
+        )
+    return sides.groupby("pg").map_groups(verify_group, batch_format="pandas")
 
 
 def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5, k: int = 3, num_blocks: int = 4,
@@ -866,11 +907,11 @@ def ssjoin_pairs(
     Plan: one light prefix explode (24 B rows: shingle, doc_id, size) →
     coarse shingle-hash groupby with in-group run-scan + size filter
     (|small| >= ceil(t·|large|)) → (a,b) candidate dedup → exact-Jaccard
-    verification through ``verify_pairs_join`` (text moves ONCE, ∝
-    candidate members).  Both-empty docs pair at J=1.0 by the module
-    convention; they have no shingles so they're paired directly (guarded
-    by ``max_empty_docs`` — empty docs should be filtered far upstream of
-    any similarity join at real scale).
+    verification through ``verify_pairs_join`` (text never shuffled; one
+    pair-key exchange on its broadcast path).  Both-empty docs pair at
+    J=1.0 by the module convention; they have no shingles so they're
+    paired directly (guarded by ``max_empty_docs`` — empty docs should be
+    filtered far upstream of any similarity join at real scale).
 
     Requires ``threshold > 0`` (prefix filtering is meaningless at t=0 and
     the empty/non-empty separation below relies on J(empty, non-empty)=0
@@ -1577,15 +1618,15 @@ def dedup_components(
             ra, rb = find(int(a)), find(int(b))
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        label_map = {n: find(n) for n in list(parent)}
-        ref = ray.put(label_map)
+        nodes = np.array(sorted(parent), np.int64)
+        labels = np.fromiter((find(int(n)) for n in nodes), np.int64, len(nodes))
+        ref = ray.put((nodes, labels))
 
         def attach(df: pd.DataFrame) -> pd.DataFrame:
-            lab = ray.get(ref)
+            nd, lb = ray.get(ref)
             ids = df["doc_id"].to_numpy().astype(np.int64)
-            comp = np.fromiter(
-                (lab.get(int(i), int(i)) for i in ids), np.int64, len(ids)
-            )
+            pos = np.minimum(np.searchsorted(nd, ids), len(nd) - 1)
+            comp = np.where(nd[pos] == ids, lb[pos], ids)
             return pd.DataFrame({"doc_id": ids, "component": comp})
 
         return docs_ds.select_columns(["doc_id"]).map_batches(

@@ -29,6 +29,24 @@ would write each stage boundary to partitioned parquet instead and make
 the counts free — the ``out_dir``-per-stage hook below is where that
 plugs in.
 
+All-to-all exchanges per call.  Each is a Ray sort shuffle with about a
+second of fixed cost on a 4-CPU host, so the common case keeps three:
+
+  1. exact dedup: the ``hg`` groupby over (hg, text_hash, doc_id);
+  2. near dedup, candidates: the LSH band ``gkey`` groupby;
+  3. near dedup, verify: the pair-key ``pg`` groupby (the broadcast path
+     of ``verify_pairs_join``: the pair list is already on the driver,
+     so pairs are deduped and routed there).
+
+Components (driver union-find), both drop filters and the split summary
+(per-block counts added up on the driver) are maps.  Past a size guard a
+path adds exchanges: more than ``driver_max_members / 2`` raw candidate
+rows adds the ``(a, b)`` pair aggregate, and as many unique pairs also
+the doc-hash ``dg`` join; more than ``driver_max_edges / 2`` verified
+pairs run the distributed label propagation (several per iteration);
+more than ``driver_max_drop_ids`` drops in a dedup stage add a ``dg``
+anti-join.
+
 Returns a summary Dataset (stage, n_docs, n_tokens); n_tokens is 0 for
 pre-token stages, and the train/holdout rows carry exact BPE token sums.
 """
@@ -106,10 +124,9 @@ def _drop_docs(docs_ds, drop_ids_ds, num_groups: int, driver_max_drop_ids: int):
     if n_drop == 0:
         return docs_ds
     if n_drop <= driver_max_drop_ids:
-        arr = np.fromiter(
-            (r["doc_id"] for r in drops.take_all()), np.int64, count=n_drop
+        return _broadcast_drop_filter(
+            docs_ds, drops.to_pandas()["doc_id"].to_numpy(np.int64)
         )
-        return _broadcast_drop_filter(docs_ds, arr)
     return _filter_join_text(docs_ds, drops, num_groups, keep=False)
 
 
@@ -169,6 +186,20 @@ def _filter_join_text(docs_ds, ids_ds, num_groups: int, keep: bool):
     return both.groupby("dg").map_groups(keep_group, batch_format="pandas")
 
 
+def _split_counts(t: pa.Table) -> pa.Table:
+    """(split, n_docs, n_tokens) of one block of (split, n_bpe_tokens)."""
+    g = t.group_by("split").aggregate(
+        [("split", "count"), ("n_bpe_tokens", "sum")]
+    )
+    return pa.table(
+        {
+            "split": g.column("split"),
+            "n_docs": g.column("split_count").cast(pa.int64()),
+            "n_tokens": g.column("n_bpe_tokens_sum").cast(pa.int64()),
+        }
+    )
+
+
 def prep_corpus(
     docs_ds,
     out_dir: str | None = None,
@@ -187,7 +218,9 @@ def prep_corpus(
     also writes ``{out_dir}/split=train|holdout/*.parquet`` with
     (doc_id, text, n_bpe_tokens, split).  Pass a dict as
     ``collect_timings`` to receive per-stage wall seconds (each stage
-    boundary is a materialize, so the splits are real).
+    boundary is a materialize, so the splits are real): quality,
+    exact_dedup, near_dedup, tokens_split, write (with ``out_dir``) and
+    summary, which together cover the call.
     ``driver_max_drop_ids`` caps the broadcast drop-set per dedup stage
     (8 B/id; the default 2M ≈ 16 MB); above it the payload anti-join
     path takes over — no raise, tested equal.
@@ -202,6 +235,7 @@ def prep_corpus(
     object-store materialize (measured ~30 % slower end-to-end at bench
     scale, the r2 frontier lesson) — pay it when the run is long enough
     to die, which at 100 TB is always."""
+    import gc as _gc
     import time as _time
 
     import ray.data
@@ -312,7 +346,7 @@ def prep_corpus(
             ),
             "quality",
         )
-    docs_q, n_quality = ck
+    docs, n_quality = ck
     t0 = _mark(collect_timings, "quality", t0)
 
     # 2. exact dedup: NARROW (hg, text_hash, doc_id) shuffle -> drop-id
@@ -335,15 +369,25 @@ def prep_corpus(
     ck = _ckpt_load("exact_dedup")
     if ck is None:
         exact_drops = (
-            docs_q.map_batches(tag_hash, batch_format="pyarrow")
+            docs.map_batches(tag_hash, batch_format="pyarrow")
             .groupby("hg")
             .map_groups(_exact_drop_ids, batch_format="pyarrow")
         )
         ck = _ckpt_store(
-            _drop_docs(docs_q, exact_drops, num_groups, driver_max_drop_ids),
+            _drop_docs(docs, exact_drops, num_groups, driver_max_drop_ids),
             "exact_dedup",
         )
-    docs_e, n_exact = ck
+    docs, n_exact = ck
+    # Ray 2.49's streaming executor leaves each finished execution's
+    # RefBundles in reference cycles (OpState, op metrics), so blocks that
+    # nothing else references stay pinned in the object store until the
+    # next full collection.  On prep_dedup that kept every call's stage
+    # copies and shuffle outputs: store use +28 MB and process-tree RSS
+    # +100 MB per call, piling up over repeated calls.  Collect after each
+    # stage that runs exchanges and at the end of the call (about 85 ms
+    # each); `docs` is rebound per stage, so the previous stage's copy is
+    # garbage by then.
+    _gc.collect()
     t0 = _mark(collect_timings, "exact_dedup", t0)
 
     # 3. near-dup: pairs -> components -> drop doc_id != component (the
@@ -356,9 +400,9 @@ def prep_corpus(
         # docs), while the join plan ships ~20 B/doc/band for candidates
         # and moves each candidate's blob once per pair side.
         pairs = minhash_dedup(
-            docs_e, threshold=minhash_threshold, verify=minhash_verify
+            docs, threshold=minhash_threshold, verify=minhash_verify
         )
-        comps = dedup_components(docs_e, pairs)
+        comps = dedup_components(docs, pairs)
 
         def drop_only(df: pd.DataFrame) -> pd.DataFrame:
             return df.loc[
@@ -367,10 +411,11 @@ def prep_corpus(
 
         near_drops = comps.map_batches(drop_only, batch_format="pandas")
         ck = _ckpt_store(
-            _drop_docs(docs_e, near_drops, num_groups, driver_max_drop_ids),
+            _drop_docs(docs, near_drops, num_groups, driver_max_drop_ids),
             "near_dedup",
         )
-    docs_n, n_near = ck
+    docs, n_near = ck
+    _gc.collect()
     t0 = _mark(collect_timings, "near_dedup", t0)
 
     # 4. tokens + split (stateless)
@@ -388,38 +433,36 @@ def prep_corpus(
             }
         )
 
-    final = docs_n.map_batches(tokens_split, batch_format="pandas").materialize()
+    final = docs.map_batches(tokens_split, batch_format="pandas").materialize()
     t0 = _mark(collect_timings, "tokens_split", t0)
 
     if out_dir is not None:
         final.write_parquet(out_dir, partition_cols=["split"])
         t0 = _mark(collect_timings, "write", t0)
 
-    from ray.data.aggregate import Count, Sum
-
-    split_rows = (
-        # narrow + arrow BEFORE the exchange: the summary only needs
-        # (split, n_bpe_tokens) — grouping `final` directly would sort the
-        # whole corpus text through the aggregate; pandas-block aggregates
-        # are additionally a Ray 2.49 slow path (round 4)
+    # split summary: `final` is materialized, so one map task per block
+    # counts its <= 2 splits and the driver adds them up — no exchange
+    parts = (
         final.select_columns(["split", "n_bpe_tokens"])
-        .map_batches(lambda t: t, batch_format="pyarrow")
-        .groupby("split")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_bpe_tokens", alias_name="n_tokens"))
-        .to_pandas()
+        .map_batches(_split_counts, batch_format="pyarrow", batch_size=None)
+        .iter_batches(batch_format="pyarrow", batch_size=None)
     )
+    per_split: dict[str, list[int]] = {}
+    for t in parts:
+        for r in t.to_pylist():
+            acc = per_split.setdefault(r["split"], [0, 0])
+            acc[0] += r["n_docs"]
+            acc[1] += r["n_tokens"]
+    _gc.collect()
+    _mark(collect_timings, "summary", t0)
     rows = [
         {"stage": "input", "n_docs": n_input, "n_tokens": 0},
         {"stage": "quality", "n_docs": n_quality, "n_tokens": 0},
         {"stage": "exact_dedup", "n_docs": n_exact, "n_tokens": 0},
         {"stage": "near_dedup", "n_docs": n_near, "n_tokens": 0},
     ] + [
-        {
-            "stage": str(r["split"]),
-            "n_docs": int(r["n_docs"]),
-            "n_tokens": int(r["n_tokens"]),
-        }
-        for _, r in split_rows.iterrows()
+        {"stage": sp, "n_docs": n, "n_tokens": tok}
+        for sp, (n, tok) in sorted(per_split.items())
     ]
     return ray.data.from_pandas(
         pd.DataFrame(rows, columns=["stage", "n_docs", "n_tokens"])

@@ -596,7 +596,12 @@ def scene_boundaries(payload: bytes, threshold_milli: int = 40_000) -> list[int]
     (milli pixel-levels).  Index 0 always starts a scene."""
     from ..functions.avi import decode_avi
 
-    frames = [d["image"].astype(np.int32) for d in decode_avi(payload)]
+    return _frame_scene_bounds(decode_avi(payload), threshold_milli)
+
+
+def _frame_scene_bounds(decoded: list[dict], threshold_milli: int) -> list[int]:
+    """``scene_boundaries`` over already-decoded ``decode_avi`` frames."""
+    frames = [d["image"].astype(np.int32) for d in decoded]
     bounds = [0]
     for i in range(1, len(frames)):
         diff = int(np.abs(frames[i] - frames[i - 1]).mean() * 1000)
@@ -627,10 +632,11 @@ class DetectAviScenes:
             if not p.startswith(b"RIFF") or p[8:12] != b"AVI ":
                 continue
             try:
-                bounds = scene_boundaries(p, self.threshold)
-                n_frames = len(self._decode(p))
+                decoded = self._decode(p)
             except self._err:
                 continue
+            bounds = _frame_scene_bounds(decoded, self.threshold)
+            n_frames = len(decoded)
             ends = bounds[1:] + [n_frames]
             for si, (a, b) in enumerate(zip(bounds, ends)):
                 ids.append(doc_id)

@@ -209,3 +209,32 @@ class TestSceneDetection:
             }
         )
         assert DetectAviScenes()(t).num_rows == 0
+
+    def test_stage_decodes_each_payload_once(self, monkeypatch):
+        import pyarrow as pa
+
+        import grawler_ray.functions.avi as avi_mod
+        from grawler_ray.stages.multimodal import DetectAviScenes, synth_scene_avi
+
+        calls = []
+        real = avi_mod.decode_avi
+
+        def counting(payload, *a, **kw):
+            calls.append(payload)
+            return real(payload, *a, **kw)
+
+        monkeypatch.setattr(avi_mod, "decode_avi", counting)
+        payloads = [synth_scene_avi(i) for i in range(3)]
+        t = pa.table(
+            {
+                "doc_id": pa.array([0, 1, 2], pa.int64()),
+                "payload": pa.array(payloads, pa.binary()),
+            }
+        )
+        out = DetectAviScenes()(t)
+        assert calls == payloads  # one decode per payload, in row order
+        for doc_id in range(3):
+            want, total = self._planted(doc_id)
+            rows = out.filter(pa.compute.equal(out.column("doc_id"), doc_id))
+            assert rows.column("start_frame").to_pylist() == want
+            assert sum(rows.column("n_frames").to_pylist()) == total

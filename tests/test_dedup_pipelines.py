@@ -82,6 +82,68 @@ def test_minhash_verify_modes_agree(docs_ds):
     assert sf == sj
 
 
+def _pair_rows(ds):
+    df = ds.to_pandas()
+    return sorted(zip(df.a.tolist(), df.b.tolist(), df.jaccard.round(12).tolist()))
+
+
+@pytest.mark.parametrize("driver_max_members", [2_000_000, 0])
+def test_verify_pairs_join_repeated_pairs(docs_ds, driver_max_members):
+    """Every candidate pair given three times, shuffled, verifies to the
+    same (a, b, jaccard) rows as the unique pairs — on the broadcast path
+    and on the full-corpus path (driver_max_members=0).  (5, 999) names a
+    doc that is not in the input and must be dropped."""
+    import random
+
+    import ray.data
+
+    from grawler_ray.functions.dedup import verify_pairs_join
+
+    ids = sorted(r["doc_id"] for r in _docs_table())
+    uniq = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]] + [(5, 999)]
+    rep = uniq * 3
+    random.Random(0).shuffle(rep)
+
+    def verify(pairs):
+        ds = ray.data.from_pandas(pd.DataFrame(pairs, columns=["a", "b"]).astype("int64"))
+        return _pair_rows(
+            verify_pairs_join(docs_ds, ds, 0.3, driver_max_members=driver_max_members)
+        )
+
+    want = verify(uniq)
+    assert {(a, b) for a, b, _ in want} == _exact_jaccard_pairs(0.3)
+    assert verify(rep) == want
+
+
+def test_minhash_join_one_row_per_pair(docs_ds):
+    """A pair that collides in several LSH bands comes out once, whether
+    the raw band rows go straight to the driver (default), are first
+    deduped by the (a, b) aggregate (guard between unique and raw pair
+    counts) or take the full-corpus verify (guard 0)."""
+    import pyarrow as pa
+
+    from grawler_ray.functions.dedup import (
+        bucket_pairs,
+        lsh_band_explode,
+        minhash_batch,
+        minhash_dedup,
+    )
+
+    t = pa.Table.from_pylist(_docs_table())
+    raw = bucket_pairs()(lsh_band_explode()(minhash_batch()(t)).to_pandas())
+    n_raw, n_uniq = len(raw), len(raw.drop_duplicates())
+    assert n_raw > n_uniq  # 100/102 are identical: all 16 bands collide
+    got = {}
+    for guard in (2_000_000, 2 * n_uniq, 0):
+        rows = _pair_rows(
+            minhash_dedup(docs_ds, threshold=0.5, verify="join", driver_max_members=guard)
+        )
+        assert len({(a, b) for a, b, _ in rows}) == len(rows), guard
+        assert (100, 102, 1.0) in rows
+        got[guard] = rows
+    assert got[2_000_000] == got[2 * n_uniq] == got[0]
+
+
 def test_ngram_jaccard_exact_baseline(docs_ds):
     from grawler_ray.functions.dedup import ngram_jaccard_pairs
 

@@ -129,6 +129,39 @@ def test_tokens_and_split_match_serial(ray_session, prep_result):
         assert tok[split] == out.loc[out["split_dir"] == split, "n_bpe_tokens"].sum()
 
 
+def test_split_summary_matches_written_output(ray_session):
+    """The summary's split rows equal a pandas groupby of the written
+    split= files (n_docs, n_tokens per split), in split order, as int64.
+    holdout_permille=500 so that both splits hold docs."""
+    import ray.data
+
+    from grawler_ray.pipelines.preprocess import prep_corpus
+
+    out_dir = "/tmp/prep_test_out_summary"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    summary = prep_corpus(
+        ray.data.from_items(_docs_rows()),
+        out_dir=out_dir,
+        minhash_threshold=0.5,
+        holdout_permille=500,
+    ).to_pandas()
+    files = glob.glob(f"{out_dir}/**/*.parquet", recursive=True)
+    out = pd.concat(
+        [pq.read_table(f).to_pandas().assign(_f=f) for f in files], ignore_index=True
+    )
+    out["split_dir"] = out["_f"].str.extract(r"split=(\w+)")
+    want = out.groupby("split_dir").agg(
+        n_docs=("doc_id", "size"), n_tokens=("n_bpe_tokens", "sum")
+    )
+    assert list(want.index) == ["holdout", "train"]
+    got = summary.iloc[4:].set_index("stage")
+    assert list(summary["stage"].iloc[:4]) == ["input", "quality", "exact_dedup", "near_dedup"]
+    assert list(got.index) == list(want.index)
+    assert got["n_docs"].tolist() == want["n_docs"].tolist()
+    assert got["n_tokens"].tolist() == want["n_tokens"].tolist()
+    assert summary["n_docs"].dtype == np.int64 and summary["n_tokens"].dtype == np.int64
+
+
 def test_join_fallback_equals_broadcast(ray_session, prep_result):
     """driver_max_drop_ids=0 forces the hashed anti-join payload path for
     BOTH dedup stages; the final doc set, tokens, and splits must equal the
