@@ -1923,11 +1923,6 @@ def _orders_by_nation(sf_dir: str, broadcast_max_rows: int = _BCAST_MAX_ROWS):
                 }
             )
 
-        def tag(t: pa.Table) -> pa.Table:
-            ck = t.column("ck").to_numpy(zero_copy_only=False).astype(np.uint64)
-            g = (ck * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)) % np.uint64(num_groups)
-            return t.append_column("jg", pa.array(g.astype(np.int32), pa.int32()))
-
         def attach(df: pd.DataFrame) -> pa.Table:
             df = df.sort_values(["ck", "side"])  # customer row first in its run
             ck = df["ck"].to_numpy()
@@ -1947,7 +1942,9 @@ def _orders_by_nation(sf_dir: str, broadcast_max_rows: int = _BCAST_MAX_ROWS):
                 }
             )
 
-        joined = (
+        from grawler_ray.shuffle import coarse_groupby
+
+        both = (
             _read(sf_dir, "customer")
             .select_columns(["c_custkey", "c_nationkey"])
             .map_batches(cust_rows, batch_format="pyarrow")
@@ -1956,10 +1953,8 @@ def _orders_by_nation(sf_dir: str, broadcast_max_rows: int = _BCAST_MAX_ROWS):
                 .select_columns(["o_custkey", "o_totalprice"])
                 .map_batches(order_rows, batch_format="pyarrow")
             )
-            .map_batches(tag, batch_format="pyarrow")
-            .groupby("jg")
-            .map_groups(attach, batch_format="pandas")
         )
+        joined = coarse_groupby(both, "ck", attach, num_groups, "pandas")
 
     return joined.groupby("nation").aggregate(
         Count(alias_name="n_orders"), Sum("price_cents", alias_name="total_cents")
@@ -2659,7 +2654,8 @@ def _hits_scores(sf_dir: str):
     import pyarrow as _pa
     import pyarrow.compute as _pc
 
-    from grawler_ray.functions.graph import _ghash, hits
+    from grawler_ray.functions.graph import hits
+    from grawler_ray.shuffle import coarse_groupby
 
     OFF = 10_000_000  # > max l_orderkey at any tested sf
     li = _read(sf_dir, "lineitem").select_columns(["l_orderkey", "l_partkey"])
@@ -2676,12 +2672,7 @@ def _hits_scores(sf_dir: str):
         o = t.column("l_orderkey").to_numpy(zero_copy_only=False).astype(_np.int64)
         p = t.column("l_partkey").to_numpy(zero_copy_only=False).astype(_np.int64) + OFF
         v = _np.unique(_np.concatenate([o, p]))  # block-local pre-dedup
-        return _pa.table(
-            {
-                "g": _pa.array(_ghash(v, 64), _pa.int32()),
-                "node_id": _pa.array(v, _pa.int64()),
-            }
-        )
+        return _pa.table({"node_id": _pa.array(v, _pa.int64())})
 
     def uniq_group(t: _pa.Table) -> _pa.Table:
         v = _np.unique(t.column("node_id").to_numpy(zero_copy_only=False))
@@ -2689,10 +2680,8 @@ def _hits_scores(sf_dir: str):
 
     # distinct node universe: ONE coarse-hash exchange of 8-byte ids
     # (pyarrow format so empty partitions can't leak pandas blocks)
-    nodes = (
-        li.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("g")
-        .map_groups(uniq_group, batch_format="pyarrow")
+    nodes = coarse_groupby(
+        li.map_batches(endpoints, batch_format="pyarrow"), "node_id", uniq_group, 64
     )
     return hits(
         nodes,

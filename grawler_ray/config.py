@@ -90,7 +90,6 @@ class CrawlConfig:
     seen_shards: int = 8             # state actors: one seen-set shard + the robots cache of its hosts each
     seen_mode: str = "exact"         # "exact" (conformance) | "cuckoo" (scale)
     parse_batch_size: int = 64       # html rows per parse batch (bodies are large)
-    min_parallelism: int = 8
     # child-seq assignment: rounds with more fetched pages than this use the
     # fully distributed prefix sum (driver holds one row per block); below
     # it, the (seq, count) pairs — 16 B/page — go to the driver directly

@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..shuffle import coarse_group, coarse_groupby
 from ..textops import _WORD_RE
 from ..urlops import xxhash64
 
@@ -575,7 +576,7 @@ def verify_pairs_join(
       per pair side; a ``pg`` (pair-key hash) groupby verifies.  Text is
       never shuffled, and the blob moves once per pair side.
     - Full corpus (above the guard): TWO exchanges.  Docs ∪ pair-side
-      requests are grouped by doc-id hash (``dg``) to attach each
+      requests are grouped by coarse doc-id group to attach each
       candidate's blob to its pair sides, then the ``pg`` groupby
       verifies.  Both union sides are materialized first (livelock note
       in ``minhash_dedup``).
@@ -647,11 +648,6 @@ def verify_pairs_join(
         pa_ = t.column("pa").to_numpy(zero_copy_only=False)
         pb_ = t.column("pb").to_numpy(zero_copy_only=False)
         return t.append_column("pg", pair_group(pa_, pb_))
-
-    def did_hash(t: pa.Table) -> pa.Table:
-        d = t.column("did").to_numpy(zero_copy_only=False).astype(np.uint64)
-        g = (d * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)) % np.uint64(num_partitions * 16)
-        return t.append_column("dg", pa.array(g.astype(np.int64), pa.int64()))
 
     def verify_group(df: pd.DataFrame) -> pd.DataFrame:
         # run-scan (pa, pb) pairs inside the coarse pair-hash group
@@ -746,14 +742,13 @@ def verify_pairs_join(
         # full-corpus join: pin both sides first (livelock note above)
         doc_side = doc_side.materialize()
         req_side = pairs.map_batches(requests, batch_format="pyarrow").materialize()
-        sides = (
-            req_side
-            .union(doc_side.map_batches(doc_rows, batch_format="pyarrow"))
-            .map_batches(did_hash, batch_format="pyarrow")
-            .groupby("dg")
-            .map_groups(attach_blobs, batch_format="pandas")
-            .map_batches(pair_hash, batch_format="pyarrow")
-        )
+        sides = coarse_groupby(
+            req_side.union(doc_side.map_batches(doc_rows, batch_format="pyarrow")),
+            "did",
+            attach_blobs,
+            num_partitions * 16,
+            "pandas",
+        ).map_batches(pair_hash, batch_format="pyarrow")
     return sides.groupby("pg").map_groups(verify_group, batch_format="pandas")
 
 
@@ -951,7 +946,7 @@ def ssjoin_pairs(
         size = np.concatenate(sizes) if sizes else np.array([], dtype=np.int64)
         # coarse shuffle key: ~num_groups vectorized groups, true shingle
         # runs re-found by sort inside the group (tiny-group groupby rule)
-        g = ((tok * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(num_groups)
+        g = coarse_group(tok, num_groups)
         emp = np.asarray(n_empty_ids, dtype=np.int64)
         return pa.table(
             {
@@ -1225,9 +1220,7 @@ def edit1_pairs(
             out_key.extend([kid] * len(vs))
             out_s.extend([s] * len(vs))
         h = xxhash64_batch(variants).astype(np.uint64)
-        g = ((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(
-            num_groups
-        )
+        g = coarse_group(h, num_groups)
         return pa.table(
             {
                 "g": pa.array(g.astype(np.int64), pa.int64()),
@@ -1480,18 +1473,9 @@ def normalized_dedup(docs_ds, num_groups: int = 256):
     shuffle ships (32-hex, int64) pairs only, the payload never moves."""
     from grawler_ray.functions.textstats import normalize_text_batch
 
-    def tag(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         n = normalize_text_batch(t)
-        g = pd.util.hash_array(
-            np.asarray(n.column("norm_md5").to_pylist(), dtype=object)
-        ) % np.uint64(num_groups)
-        return pa.table(
-            {
-                "doc_id": n.column("doc_id"),
-                "norm_md5": n.column("norm_md5"),
-                "gk": pa.array(g.astype(np.int32), pa.int32()),
-            }
-        )
+        return pa.table({"doc_id": n.column("doc_id"), "norm_md5": n.column("norm_md5")})
 
     empty = pa.schema(
         [
@@ -1502,8 +1486,8 @@ def normalized_dedup(docs_ds, num_groups: int = 256):
     )
 
     def dedup_runs(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse gk key
-        # space emit ARROW blocks (CLAUDE.md block-type rule)
+        # pyarrow-format map_groups: empty partitions of the sparse group
+        # key space emit ARROW blocks (CLAUDE.md block-type rule)
         if t.num_rows == 0:
             return empty.empty_table()
         df = t.to_pandas().sort_values(["norm_md5", "doc_id"])
@@ -1525,10 +1509,8 @@ def normalized_dedup(docs_ds, num_groups: int = 256):
             }
         )
 
-    return (
-        docs_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(dedup_runs, batch_format="pyarrow")
+    return coarse_groupby(
+        docs_ds.map_batches(prep, batch_format="pyarrow"), "norm_md5", dedup_runs, num_groups
     )
 
 
@@ -1650,13 +1632,6 @@ def dedup_components(
         .materialize()
     )
 
-    def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["node"].to_numpy().astype(np.uint64)
-        g = (v * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)) % np.uint64(num_groups)
-        df = df.copy()
-        df["ng"] = g.astype(np.int32)
-        return df
-
     def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
@@ -1694,12 +1669,14 @@ def dedup_components(
     prev_sum = None
     for _ in range(max_iters):
         # messages: each edge forwards its src's current label to dst
-        msgs = (
-            edges.map_batches(edge_rows, batch_format="pandas")
-            .union(labels.map_batches(label_rows, batch_format="pandas"))
-            .map_batches(tag_node, batch_format="pandas")
-            .groupby("ng")
-            .map_groups(propagate, batch_format="pandas")
+        msgs = coarse_groupby(
+            edges.map_batches(edge_rows, batch_format="pandas").union(
+                labels.map_batches(label_rows, batch_format="pandas")
+            ),
+            "node",
+            propagate,
+            num_groups,
+            "pandas",
         )
         # repartition re-bounds the label table's block count: the union +
         # aggregate chain otherwise compounds blocks per round (shuffle
@@ -1745,13 +1722,14 @@ def dedup_components(
         ends = np.concatenate((np.flatnonzero(np.diff(nodes) != 0), [len(df) - 1]))
         return pd.DataFrame({"doc_id": nodes[ends], "component": lbls[ends]})
 
-    return (
+    return coarse_groupby(
         docs_ds.select_columns(["doc_id"])
         .map_batches(doc_side, batch_format="pandas")
-        .union(labels.map_batches(active_side, batch_format="pandas"))
-        .map_batches(tag_node, batch_format="pandas")
-        .groupby("ng")
-        .map_groups(pick, batch_format="pandas")
+        .union(labels.map_batches(active_side, batch_format="pandas")),
+        "node",
+        pick,
+        num_groups,
+        "pandas",
     )
 
 
@@ -1784,9 +1762,7 @@ def _index_explode(
         )
     ids = np.asarray(doc_ids, np.int64)
     bh, gk = band_hash_matrix(np.vstack(sig_rows), num_bands, num_buckets)
-    blob_gk = (
-        (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-    ) % np.uint64(num_buckets)
+    blob_gk = coarse_group(ids, num_buckets)
     n_band = n * num_bands
     return pa.table(
         {
@@ -1795,7 +1771,7 @@ def _index_explode(
                 pa.int8(),
             ),
             "gk": pa.array(
-                np.concatenate([gk.ravel(), blob_gk.astype(np.int32)]), pa.int32()
+                np.concatenate([gk.ravel(), blob_gk]), pa.int32()
             ),
             "band": pa.array(
                 np.concatenate(
@@ -2111,10 +2087,10 @@ def minhash_dedup_incremental(
             )
             merged = merged[~over | (merged.groupby("new_id", sort=False).cumcount() < max_candidates_per_doc)]
         old = merged["doc_id"].to_numpy().astype(np.int64)
-        g2 = ((old.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(num_buckets)
+        g2 = coarse_group(old, num_buckets)
         return pa.table(
             {
-                "gk2": pa.array(g2.astype(np.int32), pa.int32()),
+                "gk2": pa.array(g2, pa.int32()),
                 "new_id": pa.array(merged["new_id"].to_numpy(), pa.int64()),
                 "old_id": pa.array(old, pa.int64()),
                 "sh": pa.array(merged["sh"].tolist(), pa.binary()),
@@ -2184,8 +2160,6 @@ def _dup_span_stats_join(docs_ds, windows_fn, min_count: int, num_groups: int):
 
     from ..urlops import xxhash64_batch
 
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
     def positions(t: pa.Table) -> pa.Table:
         doc_ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         texts = t.column("text").to_pylist()
@@ -2197,15 +2171,11 @@ def _dup_span_stats_join(docs_ds, windows_fn, min_count: int, num_groups: int):
             spans.extend(ws)
             base_doc.append(did)
         h = xxhash64_batch(spans) if spans else np.zeros(0, np.uint64)
-        gk_pos = ((h * golden) >> np.uint64(33)) % np.uint64(num_groups)
-        base_gk = (
-            (np.asarray(base_doc, np.uint64) * golden) >> np.uint64(33)
-        ) % np.uint64(num_groups)
+        gk_pos = coarse_group(h, num_groups)
+        base_gk = coarse_group(np.asarray(base_doc, np.int64), num_groups)
         return pa.table(
             {
-                "gk": pa.array(
-                    np.concatenate([gk_pos, base_gk]).astype(np.int32), pa.int32()
-                ),
+                "gk": pa.array(np.concatenate([gk_pos, base_gk]), pa.int32()),
                 "doc_id": pa.array(
                     np.concatenate(
                         [np.asarray(out_doc, np.int64), np.asarray(base_doc, np.int64)]
@@ -2474,13 +2444,6 @@ def dedup_keep_longest(docs_ds, pairs_ds, length_col: str = "n_chars",
         on_right="rj_doc_id",
     )
 
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(t: pa.Table) -> pa.Table:
-        c = t.column("component").to_numpy(zero_copy_only=False).astype(np.uint64)
-        cg = ((c * golden) >> np.uint64(33)) % np.uint64(num_groups)
-        return t.append_column("cg", pa.array(cg.astype(np.int32), pa.int32()))
-
     out_schema = pa.schema(
         [
             pa.field("doc_id", pa.int64()),
@@ -2510,11 +2473,7 @@ def dedup_keep_longest(docs_ds, pairs_ds, length_col: str = "n_chars",
             }
         )
 
-    return (
-        joined.map_batches(tag, batch_format="pyarrow")
-        .groupby("cg")
-        .map_groups(pick, batch_format="pyarrow")
-    )
+    return coarse_groupby(joined, "component", pick, num_groups)
 
 
 def snapshot_diff(ds_a, ds_b, key_col: str = "doc_id", payload_col: str = "text",
@@ -2532,27 +2491,21 @@ def snapshot_diff(ds_a, ds_b, key_col: str = "doc_id", payload_col: str = "text"
     """
     import hashlib as _hashlib
 
-    from .joins import _key_hash64
-
-    def tagger(side: int):
-        def tag(t: pa.Table) -> pa.Table:
-            keys = t.column(key_col).to_numpy(zero_copy_only=False)
+    def digests(side: int):
+        def fn(t: pa.Table) -> pa.Table:
             hs = [
                 _hashlib.md5((x or "").encode()).hexdigest()
                 for x in t.column(payload_col).to_pylist()
             ]
-            gk = ((_key_hash64(keys) * np.uint64(0x9E3779B97F4A7C15))
-                  >> np.uint64(33)) % np.uint64(num_groups)
             return pa.table(
                 {
-                    "gk": pa.array(gk.astype(np.int32), pa.int32()),
                     key_col: t.column(key_col),
                     "h": pa.array(hs, pa.string()),
                     "side": pa.array(np.full(t.num_rows, side, np.int8), pa.int8()),
                 }
             )
 
-        return tag
+        return fn
 
     # pandas-block datasets report numpy dtypes here, not pa.DataType —
     # normalize like joins._to_pa so string keys don't silently fall back
@@ -2602,10 +2555,10 @@ def snapshot_diff(ds_a, ds_b, key_col: str = "doc_id", payload_col: str = "text"
             }
         )
 
-    both = ds_a.map_batches(tagger(0), batch_format="pyarrow").union(
-        ds_b.map_batches(tagger(1), batch_format="pyarrow")
+    both = ds_a.map_batches(digests(0), batch_format="pyarrow").union(
+        ds_b.map_batches(digests(1), batch_format="pyarrow")
     )
-    return both.groupby("gk").map_groups(classify, batch_format="pyarrow")
+    return coarse_groupby(both, key_col, classify, num_groups)
 
 
 def snapshot_delta(ds_a, ds_b, key_col: str = "doc_id",
@@ -2675,18 +2628,13 @@ def change_rate(ds, key_col: str = "doc_id", payload_col: str = "text",
     are the standard trade for not shipping payloads).
     """
     from ..urlops import xxhash64_batch
-    from .joins import _key_hash64
 
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t.column(key_col).to_numpy(zero_copy_only=False)
+    def digests(t: pa.Table) -> pa.Table:
         h = xxhash64_batch(
             [x or "" for x in t.column(payload_col).to_pylist()]
         ).view(np.int64)
-        gk = ((_key_hash64(keys) * np.uint64(0x9E3779B97F4A7C15))
-              >> np.uint64(33)) % np.uint64(num_groups)
         return pa.table(
             {
-                "gk": pa.array(gk.astype(np.int32), pa.int32()),
                 key_col: t.column(key_col),
                 run_col: t.column(run_col),
                 "h": pa.array(h, pa.int64()),
@@ -2765,8 +2713,9 @@ def change_rate(ds, key_col: str = "doc_id", payload_col: str = "text",
             }
         )
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("gk").map_groups(estimate, batch_format="pyarrow")
+    return coarse_groupby(
+        ds.map_batches(digests, batch_format="pyarrow"), key_col, estimate, num_groups
+    )
 
 
 def dup_ratio_by_source(docs_ds, num_groups: int = 256):
@@ -2780,24 +2729,17 @@ def dup_ratio_by_source(docs_ds, num_groups: int = 256):
     groups) -> per-source integer sums (sources are low-cardinality; the
     final aggregate is tiny).  All-integer output (source, n_docs,
     n_dup_docs)."""
-    import zlib
-
     from ray.data.aggregate import Sum
 
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(t: pa.Table) -> pa.Table:
+    def digests(t: pa.Table) -> pa.Table:
         import hashlib as _hashlib
 
         hs = [
             _hashlib.md5((x or "").encode()).hexdigest()
             for x in t.column("text").to_pylist()
         ]
-        g = np.array([zlib.crc32(h.encode()) for h in hs], np.uint64)
-        gk = ((g * golden) >> np.uint64(33)) % np.uint64(num_groups)
         return pa.table(
             {
-                "gk": pa.array(gk.astype(np.int32), pa.int32()),
                 "h": pa.array(hs, pa.string()),
                 "source": t.column("source"),
             }
@@ -2839,10 +2781,14 @@ def dup_ratio_by_source(docs_ds, num_groups: int = 256):
         )
 
     return (
-        docs_ds.select_columns(["text", "source"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(mark, batch_format="pyarrow")
+        coarse_groupby(
+            docs_ds.select_columns(["text", "source"]).map_batches(
+                digests, batch_format="pyarrow"
+            ),
+            "h",
+            mark,
+            num_groups,
+        )
         .groupby("source")
         .aggregate(Sum("pn", alias_name="n_docs"), Sum("pdup", alias_name="n_dup_docs"))
     )
@@ -3070,16 +3016,10 @@ def cdc_delta_stats(ds_a, ds_b, payload_col: str = "text",
     exchange; per group a vectorized membership test (B lengths summed
     where hash ∈ A's hash set); final reduce is a tiny partial sum.
     """
-    def tag(side: int):
+    def side_rows(side: int):
         def f(t: pa.Table) -> pa.Table:
-            h = t.column("chunk_hash").to_numpy(zero_copy_only=False)
-            gk = (
-                (h.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(33)
-            ) % np.uint64(num_groups)
             return pa.table(
                 {
-                    "gk": pa.array(gk.astype(np.int32), pa.int32()),
                     "h": t.column("chunk_hash"),
                     "length": t.column("length"),
                     "side": pa.array(
@@ -3092,8 +3032,8 @@ def cdc_delta_stats(ds_a, ds_b, payload_col: str = "text",
 
     chunks_a = cdc_chunks(ds_a, min_size, avg_size, max_size, payload_col)
     chunks_b = cdc_chunks(ds_b, min_size, avg_size, max_size, payload_col)
-    both = chunks_a.map_batches(tag(0), batch_format="pyarrow").union(
-        chunks_b.map_batches(tag(1), batch_format="pyarrow")
+    both = chunks_a.map_batches(side_rows(0), batch_format="pyarrow").union(
+        chunks_b.map_batches(side_rows(1), batch_format="pyarrow")
     )
 
     part_schema = pa.schema(
@@ -3115,7 +3055,7 @@ def cdc_delta_stats(ds_a, ds_b, payload_col: str = "text",
             }
         )
 
-    parts = both.groupby("gk").map_groups(per_group, batch_format="pyarrow")
+    parts = coarse_groupby(both, "h", per_group, num_groups)
     df = parts.to_pandas()  # ≤ num_groups rows — a fixed-size driver pull
     total = int(df["total_b"].sum())
     reused = int(df["reused_b"].sum())

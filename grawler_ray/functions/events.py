@@ -23,25 +23,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..shuffle import coarse_groupby
+
 US_PER_HOUR = 3_600_000_000
-
-
-def _coarse_user_groupby(events_ds, fn, num_groups: int = 256):
-    """groupby on a coarse user-hash: one vectorized kernel call per ~large
-    group instead of one pandas group per user (millions of tiny groups is
-    the Python-overhead pathology at scale; users inside a group are
-    separated by a run-scan)."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        g = (u * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)) % np.uint64(num_groups)
-        return t.append_column("ug", pa.array(g.astype(np.int32), pa.int32()))
-
-    return (
-        events_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("ug")
-        .map_groups(fn, batch_format="pandas")
-    )
 
 
 def _user_starts(df: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray, np.ndarray]:
@@ -77,7 +61,7 @@ def sessionize(events_ds, gap_minutes: int = 30, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def rolling_sum(events_ds, window: int = 4, num_groups: int = 256):
@@ -102,7 +86,7 @@ def rolling_sum(events_ds, window: int = 4, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def rolling_median(events_ds, window: int = 4, num_groups: int = 256):
@@ -148,7 +132,7 @@ def rolling_median(events_ds, window: int = 4, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def cumulative_distinct_types(events_ds, num_groups: int = 256):
@@ -191,10 +175,12 @@ def cumulative_distinct_types(events_ds, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(
+    return coarse_groupby(
         events_ds.select_columns(["event_id", "user_id", "ts", "event_type"]),
+        "user_id",
         fn,
         num_groups,
+        "pandas",
     )
 
 
@@ -233,10 +219,12 @@ def rolling_distinct_types(events_ds, window: int = 4, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(
+    return coarse_groupby(
         events_ds.select_columns(["event_id", "user_id", "ts", "event_type"]),
+        "user_id",
         fn,
         num_groups,
+        "pandas",
     )
 
 
@@ -261,11 +249,6 @@ def last_touch_attribution(
     pandas-nullable Int64).  pyarrow map_groups per the empty-partition
     rule."""
     touches = set(touch_types)
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        g = (u * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)) % np.uint64(num_groups)
-        return t.append_column("ug", pa.array(g.astype(np.int32), pa.int32()))
 
     empty = pa.schema(
         [
@@ -300,11 +283,11 @@ def last_touch_attribution(
             }
         )
 
-    return (
-        events_ds.select_columns(["event_id", "user_id", "ts", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ug")
-        .map_groups(fn, batch_format="pyarrow")
+    return coarse_groupby(
+        events_ds.select_columns(["event_id", "user_id", "ts", "event_type"]),
+        "user_id",
+        fn,
+        num_groups,
     )
 
 
@@ -327,19 +310,6 @@ def grouped_running_sum(
     narrow columns, one sort + run-rebased cumsum per ~num_groups
     vectorized kernels; a group's rows must fit one coarse partition
     (groups are customers/users — the events.py assumption)."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column(group_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        g = (u * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)) % np.uint64(num_groups)
-        return pa.table(
-            {
-                group_col: t.column(group_col),
-                order_col: t.column(order_col),
-                tie_col: t.column(tie_col),
-                value_col: t.column(value_col).cast(pa.int64()),
-                "gk": pa.array(g.astype(np.int32), pa.int32()),
-            }
-        )
 
     empty = pa.schema(
         [
@@ -368,11 +338,11 @@ def grouped_running_sum(
             }
         )
 
-    return (
-        ds.select_columns([group_col, order_col, tie_col, value_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(fn, batch_format="pyarrow")
+    return coarse_groupby(
+        ds.select_columns([group_col, order_col, tie_col, value_col]),
+        group_col,
+        fn,
+        num_groups,
     )
 
 
@@ -415,7 +385,7 @@ def time_window_sum(events_ds, window_us: int = 604_800_000_000, num_groups: int
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def event_deltas(events_ds, num_groups: int = 256):
@@ -445,7 +415,7 @@ def event_deltas(events_ds, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def funnel_counts(events_ds, steps: tuple = ("view", "click", "purchase"), num_groups: int = 256):
@@ -509,7 +479,7 @@ def funnel_counts(events_ds, steps: tuple = ("view", "click", "purchase"), num_g
         )
 
     return (
-        _coarse_user_groupby(events_ds, fn, num_groups)
+        coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
         .repartition(1)
         .map_batches(total, batch_format="pandas", batch_size=None)
     )
@@ -618,7 +588,7 @@ def user_retention(events_ds, num_groups: int = 256):
         )
         return out.astype(np.int64)
 
-    partials = _coarse_user_groupby(events_ds, fn, num_groups)
+    partials = coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
     return (
         # ARROW blocks before the merge: Ray 2.49's multi-key
         # sort-aggregate over PANDAS blocks is a ~20x slow path (26.7 s vs
@@ -677,7 +647,7 @@ def transition_counts(events_ds, num_groups: int = 256):
         )
 
     return (
-        _coarse_user_groupby(events_ds, fn)
+        coarse_groupby(events_ds, "user_id", fn, batch_format="pandas")
         .map_batches(lambda t: t, batch_format="pyarrow")
         .groupby(["prev_type", "next_type"])
         .aggregate(Sum("cnt", alias_name="n_transitions"))
@@ -732,7 +702,7 @@ def path_trigrams(events_ds, num_groups: int = 256):
         )
 
     return (
-        _coarse_user_groupby(events_ds, fn)
+        coarse_groupby(events_ds, "user_id", fn, batch_format="pandas")
         .map_batches(lambda t: t, batch_format="pyarrow")
         .groupby(["step1_type", "step2_type", "step3_type"])
         .aggregate(Sum("cnt", alias_name="n_paths"))
@@ -795,7 +765,7 @@ def ewma_user_score(
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def user_paths(events_ds, max_steps: int = 50, num_groups: int = 256):
@@ -844,7 +814,7 @@ def user_paths(events_ds, max_steps: int = 50, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def global_running_sum(ds, order_col: str, tie_col: str, value_col: str):
@@ -1178,7 +1148,7 @@ def user_gap_moments(events_ds, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(events_ds, fn, num_groups)
+    return coarse_groupby(events_ds, "user_id", fn, num_groups, "pandas")
 
 
 def session_stats(events_ds, gap_minutes: int = 30, num_groups: int = 256):
@@ -1218,8 +1188,12 @@ def session_stats(events_ds, gap_minutes: int = 30, num_groups: int = 256):
             }
         )
 
-    return _coarse_user_groupby(
-        events_ds.select_columns(["event_id", "user_id", "ts"]), fn, num_groups
+    return coarse_groupby(
+        events_ds.select_columns(["event_id", "user_id", "ts"]),
+        "user_id",
+        fn,
+        num_groups,
+        "pandas",
     )
 
 

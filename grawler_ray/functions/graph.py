@@ -39,12 +39,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _ghash(ids: np.ndarray, num_groups: int) -> np.ndarray:
-    u = ids.astype(np.uint64)
-    return (((u * _GOLDEN) >> np.uint64(33)) % np.uint64(num_groups)).astype(np.int32)
+from ..shuffle import coarse_group, coarse_groupby
 
 
 def _wedge_pairs(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,9 +220,8 @@ def triangle_count(
                 pd.DataFrame({"n_triangles": np.array([n_tri], np.int64)})
             )
 
-    def tag_edges(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[a].to_numpy(np.int64)
-        return pd.DataFrame({"sg": _ghash(s, num_groups), "s": s, "t": df[b].to_numpy(np.int64)})
+    def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"s": df[a].to_numpy(np.int64), "t": df[b].to_numpy(np.int64)})
 
     def wedges(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["s", "t"])
@@ -236,10 +230,12 @@ def triangle_count(
         x, y = _wedge_pairs(s, t)  # vectorized across ALL nodes in the group
         return pd.DataFrame({"x": x, "y": y})
 
-    wedge_ds = (
-        pairs_ds.map_batches(tag_edges, batch_format="pandas")
-        .groupby("sg")
-        .map_groups(wedges, batch_format="pandas")
+    wedge_ds = coarse_groupby(
+        pairs_ds.map_batches(edge_rows, batch_format="pandas"),
+        "s",
+        wedges,
+        num_groups,
+        "pandas",
     )
 
     # repartition join: wedge rows and edge rows union'd on the (x, y) key,
@@ -256,7 +252,7 @@ def triangle_count(
         x, y = df["x"].to_numpy(np.int64), df["y"].to_numpy(np.int64)
         key = _pack(x, y)
         return pd.DataFrame(
-            {"kg": _ghash(key, num_groups), "key": key,
+            {"kg": coarse_group(key, num_groups), "key": key,
              "is_edge": np.zeros(len(df), np.int8)}
         )
 
@@ -264,7 +260,7 @@ def triangle_count(
         x, y = df[a].to_numpy(np.int64), df[b].to_numpy(np.int64)
         key = _pack(x, y)
         return pd.DataFrame(
-            {"kg": _ghash(key, num_groups), "key": key,
+            {"kg": coarse_group(key, num_groups), "key": key,
              "is_edge": np.ones(len(df), np.int8)}
         )
 
@@ -334,7 +330,7 @@ def pagerank(
     def symmetrize(df: pd.DataFrame) -> pd.DataFrame:
         s = np.concatenate([df[a].to_numpy(np.int64), df[b].to_numpy(np.int64)])
         t = np.concatenate([df[b].to_numpy(np.int64), df[a].to_numpy(np.int64)])
-        return pd.DataFrame({"sg": _ghash(s, num_groups), "s": s, "t": t})
+        return pd.DataFrame({"sg": coarse_group(s, num_groups), "s": s, "t": t})
 
     edges = pairs_ds.map_batches(symmetrize, batch_format="pandas")
 
@@ -395,7 +391,7 @@ def pagerank(
     def node_rows(df: pd.DataFrame) -> pd.DataFrame:
         v = df[node_col].to_numpy(np.int64)
         return pd.DataFrame(
-            {"vg": _ghash(v, num_groups), "v": v, "r": np.full(len(v), base, np.int64)}
+            {"vg": coarse_group(v, num_groups), "v": v, "r": np.full(len(v), base, np.int64)}
         )
 
     ranks = nodes_ds.map_batches(node_rows, batch_format="pandas").materialize()
@@ -459,7 +455,7 @@ def pagerank(
             part = np.add.reduceat(cs, np.flatnonzero(starts))  # int64-exact
             return pd.DataFrame(
                 {
-                    "vg": _ghash(uniq_t, num_groups),
+                    "vg": coarse_group(uniq_t, num_groups),
                     "v": uniq_t,
                     "csum": part.astype(np.int64),
                     "is_sum": np.ones(len(uniq_t), np.int8),
@@ -503,7 +499,7 @@ def pagerank(
                 csum[ok] = sc[np.minimum(pos, len(ss) - 1)][ok]
             r = tele + (d_pct * csum) // 100
             return pd.DataFrame(
-                {"vg": _ghash(nv, num_groups), "v": nv, "r": r.astype(np.int64)}
+                {"vg": coarse_group(nv, num_groups), "v": nv, "r": r.astype(np.int64)}
             )
 
         # re-bound the control table's block count every iteration: the
@@ -577,21 +573,15 @@ def kcore(
         )
         return pd.DataFrame({"s": st[:, 0], "t": st[:, 1]})
 
-    def tag_sg(df: pd.DataFrame, groups: int) -> pd.DataFrame:
-        df = df.copy()
-        df["sg"] = _ghash(df["s"].to_numpy(np.int64), groups)
-        return df
-
     # dedup inside a coarse s-hash group: all copies of a directed edge
     # share s, hence the group
-    pre_groups = 64
-    edges = (
-        pairs_ds.map_batches(symmetrize, batch_format="pandas")
-        .map_batches(lambda d: tag_sg(d, pre_groups), batch_format="pandas")
-        .groupby("sg")
-        .map_groups(dedup_group, batch_format="pandas")
-        .materialize()
-    )
+    edges = coarse_groupby(
+        pairs_ds.map_batches(symmetrize, batch_format="pandas"),
+        "s",
+        dedup_group,
+        64,
+        "pandas",
+    ).materialize()
     n_edges = edges.count()
     if num_groups is None:
         num_groups = 8 if n_edges < 10_000_000 else 64
@@ -625,7 +615,8 @@ def kcore(
 
     # ---- distributed peel ----
     edges = edges.map_batches(
-        lambda d: tag_sg(d[["s", "t"]], num_groups), batch_format="pandas"
+        lambda d: d[["s", "t"]].assign(sg=coarse_group(d["s"], num_groups)),
+        batch_format="pandas",
     ).repartition(num_groups).materialize()
     prev = n_edges
 
@@ -653,7 +644,7 @@ def kcore(
         return pd.DataFrame(
             {
                 "tg": np.concatenate(
-                    [_ghash(t[keep], num_groups), _ghash(alive, num_groups)]
+                    [coarse_group(t[keep], num_groups), coarse_group(alive, num_groups)]
                 ).astype(np.int32),
                 "s": np.concatenate([s[keep], alive]),
                 "t": np.concatenate([t[keep], np.full(len(alive), -1, np.int64)]),
@@ -677,7 +668,7 @@ def kcore(
         else:
             es = et = np.array([], np.int64)
         return pd.DataFrame(
-            {"sg": _ghash(es, num_groups).astype(np.int32), "s": es, "t": et}
+            {"sg": coarse_group(es, num_groups), "s": es, "t": et}
         )
 
     for _ in range(max_iters):
@@ -763,7 +754,7 @@ def bfs_depth(
     def symmetrize(df: pd.DataFrame) -> pd.DataFrame:
         s = np.concatenate([df[a].to_numpy(np.int64), df[b].to_numpy(np.int64)])
         t = np.concatenate([df[b].to_numpy(np.int64), df[a].to_numpy(np.int64)])
-        return pd.DataFrame({"sg": _ghash(s, num_groups), "s": s, "t": t})
+        return pd.DataFrame({"sg": coarse_group(s, num_groups), "s": s, "t": t})
 
     edges = pairs_ds.map_batches(symmetrize, batch_format="pandas").materialize()
     n_edges = edges.count()
@@ -811,7 +802,7 @@ def bfs_depth(
     def node_rows(df: pd.DataFrame) -> pd.DataFrame:
         v = df[node_col].to_numpy(np.int64)
         d = np.where(np.isin(v, seed_arr), 0, -1).astype(np.int64)
-        return pd.DataFrame({"vg": _ghash(v, num_groups), "v": v, "d": d})
+        return pd.DataFrame({"vg": coarse_group(v, num_groups), "v": v, "d": d})
 
     state = nodes_ds.map_batches(node_rows, batch_format="pandas").materialize()
 
@@ -824,7 +815,7 @@ def bfs_depth(
             v = f["v"].to_numpy(np.int64)
             return pd.DataFrame(
                 {
-                    "sg": _ghash(v, num_groups),
+                    "sg": coarse_group(v, num_groups),
                     "s": v,
                     "t": np.full(len(v), -1, np.int64),
                     "is_edge": np.zeros(len(v), np.int8),
@@ -858,7 +849,7 @@ def bfs_depth(
             tt = np.unique(df.loc[ise, "t"].to_numpy(np.int64)[hit])
             return pd.DataFrame(
                 {
-                    "vg": _ghash(tt, num_groups),
+                    "vg": coarse_group(tt, num_groups),
                     "v": tt,
                     "d": np.full(len(tt), -2, np.int64),  # candidate tag
                 }
@@ -897,7 +888,7 @@ def bfs_depth(
             keep = run_max >= -1
             return pd.DataFrame(
                 {
-                    "vg": _ghash(uv[keep], num_groups),
+                    "vg": coarse_group(uv[keep], num_groups),
                     "v": uv[keep],
                     "d": best[keep],
                 }
@@ -1036,13 +1027,13 @@ def common_neighbors_topk(
                 _out(*_topk(ux, uy, counts.astype(np.int64)))
             )
 
-    def tag_dir(df: pd.DataFrame) -> pd.DataFrame:
+    def dir_rows(df: pd.DataFrame) -> pd.DataFrame:
         s = np.concatenate([df[a].to_numpy(np.int64), df[b].to_numpy(np.int64)])
         t = np.concatenate([df[b].to_numpy(np.int64), df[a].to_numpy(np.int64)])
-        return pd.DataFrame({"sg": _ghash(s, num_groups), "s": s, "t": t})
+        return pd.DataFrame({"s": s, "t": t})
 
     def wedge_partials(df: pd.DataFrame) -> pd.DataFrame:
-        # rows arrive ALREADY symmetrized by tag_dir (both directions
+        # rows arrive ALREADY symmetrized by dir_rows (both directions
         # emitted before the shuffle) — only sort + dedup here;
         # re-symmetrizing would fabricate adjacency for middle vertices
         # that hash to other groups
@@ -1062,13 +1053,7 @@ def common_neighbors_topk(
         x, y = _wedge_pairs(s, t)
         key = _pack(x, y)
         uk, counts = np.unique(key, return_counts=True)
-        return pd.DataFrame(
-            {
-                "kg": _ghash(uk, num_groups),
-                "key": uk,
-                "cnt": counts.astype(np.int64),
-            }
-        )
+        return pd.DataFrame({"key": uk, "cnt": counts.astype(np.int64)})
 
     def finish_group(df: pd.DataFrame) -> pd.DataFrame:
         key = df["key"].to_numpy(np.int64)
@@ -1095,12 +1080,15 @@ def common_neighbors_topk(
         )
         return _out(x, y, c)
 
+    partials = coarse_groupby(
+        pairs_ds.map_batches(dir_rows, batch_format="pandas"),
+        "s",
+        wedge_partials,
+        num_groups,
+        "pandas",
+    )
     return (
-        pairs_ds.map_batches(tag_dir, batch_format="pandas")
-        .groupby("sg")
-        .map_groups(wedge_partials, batch_format="pandas")
-        .groupby("kg")
-        .map_groups(finish_group, batch_format="pandas")
+        coarse_groupby(partials, "key", finish_group, num_groups, "pandas")
         .repartition(1)
         .map_batches(final, batch_format="pandas", batch_size=None)
     )
@@ -1210,29 +1198,16 @@ def membership_copair_topk(
                 )
             )
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        g = np.asarray(df[group_col].to_numpy(), dtype=object)
+    def member_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "gh": (pd.util.hash_array(g) % np.uint64(num_groups)).astype(
-                    np.int32
-                ),
-                "g": df[group_col].to_numpy(),
-                "v": df[member_col].to_numpy(np.int64),
-            }
+            {"g": df[group_col].to_numpy(), "v": df[member_col].to_numpy(np.int64)}
         )
 
     def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
         gcodes = pd.factorize(df["g"].to_numpy())[0].astype(np.int64)
         key = _run_pairs(gcodes, df["v"].to_numpy(np.int64))
         uk, counts = np.unique(key, return_counts=True)
-        return pd.DataFrame(
-            {
-                "kg": _ghash(uk, num_groups),
-                "key": uk,
-                "cnt": counts.astype(np.int64),
-            }
-        )
+        return pd.DataFrame({"key": uk, "cnt": counts.astype(np.int64)})
 
     def finish_group(df: pd.DataFrame) -> pd.DataFrame:
         key = df["key"].to_numpy(np.int64)
@@ -1259,12 +1234,15 @@ def membership_copair_topk(
             )
         )
 
+    partials = coarse_groupby(
+        memberships_ds.map_batches(member_rows, batch_format="pandas"),
+        "g",
+        pair_partials,
+        num_groups,
+        "pandas",
+    )
     return (
-        memberships_ds.map_batches(tag, batch_format="pandas")
-        .groupby("gh")
-        .map_groups(pair_partials, batch_format="pandas")
-        .groupby("kg")
-        .map_groups(finish_group, batch_format="pandas")
+        coarse_groupby(partials, "key", finish_group, num_groups, "pandas")
         .repartition(1)
         .map_batches(final, batch_format="pandas", batch_size=None)
     )
@@ -1326,8 +1304,8 @@ def hits(
         t = df[b_col].to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "sg": _ghash(s, num_groups),
-                "tg": _ghash(t, num_groups),
+                "sg": coarse_group(s, num_groups),
+                "tg": coarse_group(t, num_groups),
                 "s": s,
                 "t": t,
             }
@@ -1369,7 +1347,7 @@ def hits(
         v = df[node_col].to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "vg": _ghash(v, num_groups),
+                "vg": coarse_group(v, num_groups),
                 "v": v,
                 "r": np.full(len(v), scale, np.int64),
             }
@@ -1432,7 +1410,7 @@ def hits(
             part = np.add.reduceat(xs, np.flatnonzero(starts))
             return pd.DataFrame(
                 {
-                    "vg": _ghash(uniq, num_groups),
+                    "vg": coarse_group(uniq, num_groups),
                     "v": uniq,
                     "csum": part.astype(np.int64),
                     "is_sum": np.ones(len(uniq), np.int8),
@@ -1468,7 +1446,7 @@ def hits(
                 raw[ok] = sc[pos][ok]
             return pd.DataFrame(
                 {
-                    "vg": _ghash(nv_, num_groups),
+                    "vg": coarse_group(nv_, num_groups),
                     "v": nv_,
                     "raw": raw,
                 }
@@ -1617,7 +1595,7 @@ def resolve_chains(
         )
 
     state = state.map_batches(
-        lambda df: df.assign(g=_ghash(df["id"].to_numpy(np.int64), num_groups)),
+        lambda df: df.assign(g=coarse_group(df["id"].to_numpy(np.int64), num_groups)),
         batch_format="pandas",
     ).repartition(num_groups).materialize()
 
@@ -1635,7 +1613,7 @@ def resolve_chains(
     def tag_requester(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "g": _ghash(df["ptr"].to_numpy(np.int64), num_groups),
+                "g": coarse_group(df["ptr"].to_numpy(np.int64), num_groups),
                 "id": df["id"].to_numpy(np.int64),
                 "ptr": df["ptr"].to_numpy(np.int64),
                 "dist": df["dist"].to_numpy(np.int64),
@@ -1669,7 +1647,7 @@ def resolve_chains(
         rid = req["id"].to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "g": _ghash(rid, num_groups),
+                "g": coarse_group(rid, num_groups),
                 "id": rid,
                 "ptr": new_ptr,
                 "dist": req["dist"].to_numpy(np.int64) + tdist,

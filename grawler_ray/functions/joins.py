@@ -31,27 +31,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+from ..shuffle import coarse_group, coarse_group_tuple, coarse_groupby
 
 US_PER_MINUTE = 60_000_000
-
-
-def _key_hash64(keys: np.ndarray) -> np.ndarray:
-    """uint64 key hashes for int64 OR string join keys (crc32 for strings
-    — process-stable, unlike Python's salted str hash).
-
-    crc32 maps strings into a 32-bit space: fine as a PARTITIONING hash
-    (collisions just co-locate two keys in one coarse group, where the
-    in-group match still compares real key values) — it must never be
-    used as a key IDENTITY, and nothing here does.
-    """
-    import zlib
-
-    if keys.dtype == object or keys.dtype.kind in ("U", "S"):
-        return np.fromiter(
-            (zlib.crc32(str(x).encode()) for x in keys), np.uint64, len(keys)
-        )
-    return keys.astype(np.uint64)
 
 
 def _cents(col) -> np.ndarray:
@@ -92,13 +74,11 @@ def asof_join(
     int64-nullable match columns.
     """
 
-    def tag(t: pa.Table) -> pa.Table:
+    def sides(t: pa.Table) -> pa.Table:
         et = t.column("event_type")
         keep = pc.or_(pc.equal(et, left_type), pc.equal(et, right_type))
         t = t.filter(keep)
         side = pc.cast(pc.equal(t.column("event_type"), left_type), pa.int8())
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        g = (u * _GOLDEN >> np.uint64(33)) % np.uint64(num_groups)
         return pa.table(
             {
                 "event_id": t.column("event_id"),
@@ -106,7 +86,6 @@ def asof_join(
                 "ts_us": pa.array(_epoch_us(t), pa.int64()),
                 "cents": pa.array(_cents(t.column("value")), pa.int64()),
                 "side": side,  # 0 = right, 1 = left (right sorts first at equal ts)
-                "ug": pa.array(g.astype(np.int32), pa.int32()),
             }
         )
 
@@ -120,7 +99,7 @@ def asof_join(
     )
 
     def match(t: pa.Table) -> pa.Table:
-        # pyarrow in/out: empty partitions of the sparse ug key space emit
+        # pyarrow in/out: empty partitions of the sparse group key space emit
         # ARROW blocks, and the nullable match columns are Arrow
         # int64-with-nulls (NOT pandas Int64 — pandas-native nullable blocks
         # reach the driver as `<NA>` where the oracle has NaN and fail its
@@ -156,10 +135,8 @@ def asof_join(
             }
         )
 
-    return (
-        events_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("ug")
-        .map_groups(match, batch_format="pyarrow")
+    return coarse_groupby(
+        events_ds.map_batches(sides, batch_format="pyarrow"), "user_id", match, num_groups
     )
 
 
@@ -215,11 +192,10 @@ def range_join_count(
                 rows["hi"].append(np.minimum(e[live], (b[live] + 1) * w_us))
                 rows["cents"].append(np.zeros(live.sum(), np.int64))
                 rows["is_interval"].append(np.ones(live.sum(), np.int8))
-        u = np.concatenate(rows["bucket"]).astype(np.uint64)
-        g = (u * _GOLDEN >> np.uint64(33)) % np.uint64(num_groups)
+        g = coarse_group(np.concatenate(rows["bucket"]), num_groups)
         return pa.table(
             {
-                "bg": pa.array(g.astype(np.int32), pa.int32()),
+                "bg": pa.array(g, pa.int32()),
                 "interval_id": pa.array(np.concatenate(rows["interval_id"]), pa.int64()),
                 "lo": pa.array(np.concatenate(rows["lo"]), pa.int64()),
                 "hi": pa.array(np.concatenate(rows["hi"]), pa.int64()),
@@ -327,14 +303,10 @@ def _membership_join(left_ds, right_ds, on_left: str, on_right: str,
     reserved = {"gk", "side"} & set(cols)
     assert not reserved, f"input columns collide with internal names: {reserved}"
 
-    def _gk(keys: np.ndarray) -> np.ndarray:
-        return (((_key_hash64(keys) * _GOLDEN) >> np.uint64(33))
-                % np.uint64(num_groups)).astype(np.int32)
-
     def tag_left(t: pa.Table) -> pa.Table:
-        keys = t.column(on_left).to_numpy(zero_copy_only=False)
+        gk = coarse_group(t.column(on_left), num_groups)
         t = t.select(cols)
-        t = t.append_column("gk", pa.array(_gk(keys), pa.int32()))
+        t = t.append_column("gk", pa.array(gk, pa.int32()))
         return t.append_column("side", pa.array(np.zeros(t.num_rows, np.int8), pa.int8()))
 
     def tag_right(t: pa.Table) -> pa.Table:
@@ -347,7 +319,7 @@ def _membership_join(left_ds, right_ds, on_left: str, on_right: str,
             else:
                 arrays.append(pa.nulls(len(keys), typ))
         out = pa.table(dict(zip(cols, arrays)))
-        out = out.append_column("gk", pa.array(_gk(keys), pa.int32()))
+        out = out.append_column("gk", pa.array(coarse_group(keys, num_groups), pa.int32()))
         return out.append_column("side", pa.array(np.ones(len(keys), np.int8), pa.int8()))
 
     def membership(t: pa.Table) -> pa.Table:
@@ -401,10 +373,9 @@ def repartition_join(left_ds, right_ds, on_left, on_right,
     so colliding coarse groups can never double-match.
 
     Composite keys: ``on_left`` / ``on_right`` may be equal-length LISTS
-    of column names — the coarse partition hash chains the per-column
-    hashes (``(mix ^ h_col) * golden``, so single-key plans are
-    bit-identical to before) and the in-group merge matches on the whole
-    tuple.  Output key columns carry the LEFT names.  Salting stays
+    of column names — the coarse partition is ``shuffle.coarse_group_tuple``
+    over the key columns and the salt, and the in-group merge matches on
+    the whole tuple.  Output key columns carry the LEFT names.  Salting stays
     single-key (name ONE hot column's values).
     """
     def _pa_schema(ds):
@@ -444,16 +415,6 @@ def repartition_join(left_ds, right_ds, on_left, on_right,
             hot_arr = np.asarray(hk, np.int64)
         except (TypeError, ValueError):  # string keys
             hot_arr = np.asarray([str(x) for x in hk], object)
-    _SALT_C = np.uint64(0xC2B2AE3D27D4EB4F)
-
-    def _gk(key_arrs: list[np.ndarray], r: np.ndarray) -> np.ndarray:
-        # chained per-column mix; one key => h * golden, the legacy formula
-        mix = np.zeros(len(r), np.uint64)
-        for arr in key_arrs:
-            mix = (mix ^ _key_hash64(arr)) * _GOLDEN
-        mix = mix + r.astype(np.uint64) * _SALT_C
-        return ((mix >> np.uint64(33)) % np.uint64(num_groups)).astype(np.int32)
-
     def _pad(t: pa.Table, present: list, key_cols: dict,
              key_arrs: list[np.ndarray], r: np.ndarray, side: int) -> pa.Table:
         arrays = []
@@ -466,7 +427,9 @@ def repartition_join(left_ds, right_ds, on_left, on_right,
                 arrays.append(pa.nulls(t.num_rows, all_types[name]))
         out = pa.table(dict(zip(all_cols, arrays)))
         out = out.append_column("_salt_r", pa.array(r.astype(np.int32), pa.int32()))
-        out = out.append_column("gk", pa.array(_gk(key_arrs, r), pa.int32()))
+        out = out.append_column(
+            "gk", pa.array(coarse_group_tuple(key_arrs, num_groups, r), pa.int32())
+        )
         return out.append_column(
             "side", pa.array(np.full(t.num_rows, side, np.int8), pa.int8())
         )

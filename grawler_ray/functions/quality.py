@@ -100,9 +100,8 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
     """
     import pyarrow.compute as pc
 
+    from ..shuffle import coarse_group
     from ..urlops import xxhash64_batch
-
-    golden = np.uint64(0x9E3779B97F4A7C15)
 
     def positions(t: pa.Table) -> pa.Table:
         doc_ids = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -114,10 +113,9 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
             out_pos.extend(range(len(ls)))
             lines.extend(ls)
         h = xxhash64_batch(lines) if lines else np.zeros(0, np.uint64)
-        gk = (((h * golden) >> np.uint64(33)) % np.uint64(num_groups)).astype(np.int32)
         return pa.table(
             {
-                "gk": pa.array(gk, pa.int32()),
+                "gk": pa.array(coarse_group(h, num_groups), pa.int32()),
                 "doc_id": pa.array(np.asarray(out_doc, np.int64), pa.int64()),
                 "pos": pa.array(np.asarray(out_pos, np.int64), pa.int64()),
                 "h": pa.array(h.view(np.int64), pa.int64()),
@@ -151,12 +149,9 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
     )
 
     def tag_docs(t: pa.Table) -> pa.Table:
-        did = t.column("doc_id").to_numpy(zero_copy_only=False)
-        dk = (((did.astype(np.uint64) * golden) >> np.uint64(33))
-              % np.uint64(num_groups)).astype(np.int32)
         return pa.table(
             {
-                "dk": pa.array(dk, pa.int32()),
+                "dk": pa.array(coarse_group(t.column("doc_id"), num_groups), pa.int32()),
                 "doc_id": t.column("doc_id"),
                 "text": t.column("text"),
                 "pos": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
@@ -165,12 +160,9 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
         )
 
     def tag_dropped(t: pa.Table) -> pa.Table:
-        did = t.column("doc_id").to_numpy(zero_copy_only=False)
-        dk = (((did.astype(np.uint64) * golden) >> np.uint64(33))
-              % np.uint64(num_groups)).astype(np.int32)
         return pa.table(
             {
-                "dk": pa.array(dk, pa.int32()),
+                "dk": pa.array(coarse_group(t.column("doc_id"), num_groups), pa.int32()),
                 "doc_id": t.column("doc_id"),
                 "text": pa.nulls(t.num_rows, pa.string()),
                 "pos": t.column("pos"),

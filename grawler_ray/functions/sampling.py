@@ -13,6 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..shuffle import coarse_groupby
+
 _KNUTH = 2654435761  # 2^32 / golden ratio
 _MOD = 1 << 32
 
@@ -62,6 +64,23 @@ def stratified_sample(ds, strata_col: str = "lang", id_col: str = "doc_id", perm
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _window_groupby(ds, group_col, id_col, value_col, fn, num_groups):
+    """The value-ordered window ops' exchange: (group, id, value as int64)
+    rows, coarse-grouped by the group key."""
+
+    def prep(t: pa.Table) -> pa.Table:
+        return t.set_column(2, value_col, t.column(value_col).cast(pa.int64()))
+
+    return coarse_groupby(
+        ds.select_columns([group_col, id_col, value_col]).map_batches(
+            prep, batch_format="pyarrow"
+        ),
+        group_col,
+        fn,
+        num_groups,
+    )
+
+
 def cap_per_group(
     ds,
     group_col: str = "source",
@@ -76,18 +95,9 @@ def cap_per_group(
 
     Scale shape: groups are string domains (10^6-10^8 of them at corpus
     scale), so the shuffle key is a COARSE hash of the group (~num_groups
-    vectorized kernels), never one pandas group per domain — the same
-    pattern as crawl admission (pipelines/crawl.py) and _coarse_user_groupby
-    (events.py).  Inside a coarse group: one sort by (group, order) + a
-    run-rebased cumcount."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        g = pd.util.hash_array(
-            np.asarray(t.column(group_col).to_pylist(), dtype=object)
-        ) % np.uint64(num_groups)
-        return t.append_column("gk", pa.array(g.astype(np.int32), pa.int32()))
+    vectorized kernels), never one pandas group per domain — the
+    ``shuffle.coarse_groupby`` exchange.  Inside a coarse group: one sort
+    by (group, order) + a run-rebased cumcount."""
 
     def rank_groups(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -107,11 +117,8 @@ def cap_per_group(
             }
         )
 
-    return (
-        ds.select_columns([order_col, group_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(rank_groups, batch_format="pyarrow")
+    return coarse_groupby(
+        ds.select_columns([order_col, group_col]), group_col, rank_groups, num_groups
     )
 
 
@@ -221,25 +228,6 @@ def group_topk(
     """
     import pandas as pd
 
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(t: pa.Table) -> pa.Table:
-        gv = t.column(group_col)
-        if pa.types.is_integer(gv.type):
-            u = gv.to_numpy(zero_copy_only=False).astype(np.uint64)
-            g = (u * _GOLD) >> np.uint64(33)
-        else:
-            g = pd.util.hash_array(np.asarray(gv.to_pylist(), dtype=object))
-        g = g % np.uint64(num_groups)
-        return pa.table(
-            {
-                group_col: gv,
-                id_col: t.column(id_col),
-                value_col: t.column(value_col).cast(pa.int64()),
-                "gk": pa.array(g.astype(np.int32), pa.int32()),
-            }
-        )
-
     empty = pa.schema(
         [
             pa.field(group_col, pa.string() if group_dtype == "string" else pa.int64()),
@@ -250,7 +238,7 @@ def group_topk(
     )
 
     def rank_groups(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse gk key
+        # pyarrow-format map_groups: empty partitions of the sparse group key
         # space emit ARROW blocks (CLAUDE.md block-type rule)
         if t.num_rows == 0:
             return empty.empty_table()
@@ -275,12 +263,7 @@ def group_topk(
             }
         )
 
-    return (
-        ds.select_columns([group_col, id_col, value_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(rank_groups, batch_format="pyarrow")
-    )
+    return _window_groupby(ds, group_col, id_col, value_col, rank_groups, num_groups)
 
 
 def group_ntile(
@@ -314,25 +297,6 @@ def group_ntile(
     """
     import pandas as pd
 
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(t: pa.Table) -> pa.Table:
-        gv = t.column(group_col)
-        if pa.types.is_integer(gv.type):
-            u = gv.to_numpy(zero_copy_only=False).astype(np.uint64)
-            g = (u * _GOLD) >> np.uint64(33)
-        else:
-            g = pd.util.hash_array(np.asarray(gv.to_pylist(), dtype=object))
-        g = g % np.uint64(num_groups)
-        return pa.table(
-            {
-                group_col: gv,
-                id_col: t.column(id_col),
-                value_col: t.column(value_col).cast(pa.int64()),
-                "gk": pa.array(g.astype(np.int32), pa.int32()),
-            }
-        )
-
     key_type = pa.string()
     for name, typ in zip(ds.schema().names, ds.schema().types):
         if name == group_col and (
@@ -349,7 +313,7 @@ def group_ntile(
     )
 
     def tile_groups(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse gk key
+        # pyarrow-format map_groups: empty partitions of the sparse group key
         # space emit ARROW blocks (CLAUDE.md block-type rule)
         if t.num_rows == 0:
             return empty.empty_table()
@@ -386,12 +350,7 @@ def group_ntile(
             }
         )
 
-    return (
-        ds.select_columns([group_col, id_col, value_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(tile_groups, batch_format="pyarrow")
-    )
+    return _window_groupby(ds, group_col, id_col, value_col, tile_groups, num_groups)
 
 
 def weighted_sample_k(
@@ -562,25 +521,21 @@ def group_sample_k(
     """
     import pandas as pd
 
-    def tag(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         if len(ids) and int(ids.min()) < 0:
             raise ValueError("sampling id column must be non-negative")
         hkey = (ids.astype(np.uint64) * _KNUTH) % _MOD
-        g = pd.util.hash_array(
-            np.asarray(t.column(group_col).to_pylist(), dtype=object)
-        ) % np.uint64(num_groups)
         return pa.table(
             {
                 id_col: pa.array(ids, pa.int64()),
                 group_col: t.column(group_col).cast(pa.string()),
                 "hkey": pa.array(hkey.astype(np.int64), pa.int64()),
-                "gk": pa.array(g.astype(np.int32), pa.int32()),
             }
         )
 
     def rank_groups(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse gk key
+        # pyarrow-format map_groups: empty partitions of the sparse group key
         # space emit ARROW blocks (CLAUDE.md block-type rule)
         if t.num_rows == 0:
             return pa.table(
@@ -607,11 +562,11 @@ def group_sample_k(
             }
         )
 
-    return (
-        ds.select_columns([id_col, group_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(rank_groups, batch_format="pyarrow")
+    return coarse_groupby(
+        ds.select_columns([id_col, group_col]).map_batches(prep, batch_format="pyarrow"),
+        group_col,
+        rank_groups,
+        num_groups,
     )
 
 
@@ -635,18 +590,12 @@ def token_budget_cap(
     three int/string columns (payload never moves), one sort +
     run-rebased cumsum per ~num_groups vectorized kernels."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        g = pd.util.hash_array(
-            np.asarray(t.column(group_col).to_pylist(), dtype=object)
-        ) % np.uint64(num_groups)
+    def prep(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 order_col: t.column(order_col),
                 group_col: t.column(group_col).cast(pa.string()),
                 weight_col: t.column(weight_col).cast(pa.int64()),
-                "gk": pa.array(g.astype(np.int32), pa.int32()),
             }
         )
 
@@ -662,7 +611,7 @@ def token_budget_cap(
     def cap_groups(t: pa.Table) -> pa.Table:
         import pandas as pd
 
-        # pyarrow-format map_groups: empty partitions of the sparse gk key
+        # pyarrow-format map_groups: empty partitions of the sparse group key
         # space emit ARROW blocks (CLAUDE.md block-type rule)
         if t.num_rows == 0:
             return empty.empty_table()
@@ -687,11 +636,13 @@ def token_budget_cap(
             }
         )
 
-    return (
-        ds.select_columns([order_col, group_col, weight_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(cap_groups, batch_format="pyarrow")
+    return coarse_groupby(
+        ds.select_columns([order_col, group_col, weight_col]).map_batches(
+            prep, batch_format="pyarrow"
+        ),
+        group_col,
+        cap_groups,
+        num_groups,
     )
 
 
@@ -785,25 +736,6 @@ def grouped_percent_rank(
     """
     import pandas as pd
 
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(t: pa.Table) -> pa.Table:
-        gv = t.column(group_col)
-        if pa.types.is_integer(gv.type):
-            u = gv.to_numpy(zero_copy_only=False).astype(np.uint64)
-            g = (u * _GOLD) >> np.uint64(33)
-        else:
-            g = pd.util.hash_array(np.asarray(gv.to_pylist(), dtype=object))
-        g = g % np.uint64(num_groups)
-        return pa.table(
-            {
-                group_col: gv,
-                id_col: t.column(id_col),
-                value_col: t.column(value_col).cast(pa.int64()),
-                "gk": pa.array(g.astype(np.int32), pa.int32()),
-            }
-        )
-
     empty = pa.schema(
         [
             pa.field(group_col, pa.string()),
@@ -839,9 +771,4 @@ def grouped_percent_rank(
             }
         )
 
-    return (
-        ds.select_columns([group_col, id_col, value_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(rank_groups, batch_format="pyarrow")
-    )
+    return _window_groupby(ds, group_col, id_col, value_col, rank_groups, num_groups)

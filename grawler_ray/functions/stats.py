@@ -38,6 +38,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..shuffle import coarse_groupby
+
 __all__ = [
     "grouped_moments",
     "grouped_corr",
@@ -871,17 +873,11 @@ def grouped_gini(
     per key at cent scale; beyond that, shard keys first (documented).
     """
 
-    def tag(t: pa.Table) -> pa.Table:
-        x = _scaled_int(t.column(value_col), value_scale)
-        g = t.column(group_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        gh = (
-            g.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)
-        ) % np.uint64(num_groups)
+    def prep(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "g": pa.array(g, pa.int64()),
-                "x": pa.array(x, pa.int64()),
-                "gh": pa.array(gh.astype(np.int32), pa.int32()),
+                "g": t.column(group_col).cast(pa.int64()),
+                "x": pa.array(_scaled_int(t.column(value_col), value_scale), pa.int64()),
             }
         )
 
@@ -923,11 +919,11 @@ def grouped_gini(
             }
         )
 
-    out = (
-        ds.select_columns([group_col, value_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gh")
-        .map_groups(kernel, batch_format="pyarrow")
+    out = coarse_groupby(
+        ds.select_columns([group_col, value_col]).map_batches(prep, batch_format="pyarrow"),
+        "g",
+        kernel,
+        num_groups,
     )
     return out.map_batches(
         lambda t: t.rename_columns(
@@ -959,17 +955,12 @@ def grouped_ntile(
     variant that needs the range-partitioned row-offset machinery).
     """
 
-    def tag(t: pa.Table) -> pa.Table:
-        g = t.column(group_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        gh = (
-            g.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(33)
-        ) % np.uint64(num_groups)
+    def prep(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "g": pa.array(g, pa.int64()),
+                "g": t.column(group_col).cast(pa.int64()),
                 "v": t.column(value_col).cast(pa.float64()),
                 "tie": t.column(tie_col).cast(pa.int64()),
-                "gh": pa.array(gh.astype(np.int32), pa.int32()),
             }
         )
 
@@ -1008,11 +999,13 @@ def grouped_ntile(
             }
         )
 
-    out = (
-        ds.select_columns([group_col, value_col, tie_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gh")
-        .map_groups(kernel, batch_format="pyarrow")
+    out = coarse_groupby(
+        ds.select_columns([group_col, value_col, tie_col]).map_batches(
+            prep, batch_format="pyarrow"
+        ),
+        "g",
+        kernel,
+        num_groups,
     )
     return out.map_batches(
         lambda t: t.rename_columns([group_col, tie_col, "tile"]),
@@ -1330,16 +1323,12 @@ def grouped_spearman(
     """
     import pandas as pd
 
-    def tag(t: pa.Table) -> pa.Table:
-        g = pd.util.hash_array(
-            np.asarray(t.column(group_col).to_pylist(), dtype=object)
-        ) % np.uint64(num_groups)
+    def prep(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 group_col: t.column(group_col),
                 "x": pa.array(_scaled_int(t.column(x_col), x_scale), pa.int64()),
                 "y": pa.array(_scaled_int(t.column(y_col), y_scale), pa.int64()),
-                "gh": pa.array(g.astype(np.int32), pa.int32()),
             }
         )
 
@@ -1418,11 +1407,11 @@ def grouped_spearman(
             }
         )
 
-    return (
-        ds.select_columns([group_col, x_col, y_col])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("gh")
-        .map_groups(kernel, batch_format="pyarrow")
+    return coarse_groupby(
+        ds.select_columns([group_col, x_col, y_col]).map_batches(prep, batch_format="pyarrow"),
+        group_col,
+        kernel,
+        num_groups,
     )
 
 

@@ -18,6 +18,7 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from ..shuffle import coarse_groupby
 from ..textops import _WORD_RE
 
 # a small, fixed stopword list (shared with the SQL oracle literally)
@@ -76,6 +77,19 @@ def word_freq_batch(t: pa.Table) -> pa.Table:
         }
     )
 
+
+
+def _word_tf_rows(t: pa.Table) -> pa.Table:
+    """(word, doc_id, tf) rows of a docs batch: the input of the
+    word-keyed coarse exchanges below."""
+    wf = word_freq_batch(t)
+    return pa.table(
+        {
+            "word": wf.column("word"),
+            "doc_id": wf.column("doc_id"),
+            "tf": wf.column("frequency"),
+        }
+    )
 
 def process_text_batch(t: pa.Table) -> pa.Table:
     """M9 ProcessText over a column (src/parsers/text.go:8-14)."""
@@ -764,25 +778,6 @@ def tfidf_topk(docs_ds, k: int = 5, scale: int = 1_000_000, num_groups: int = 25
     import pandas as pd
 
     n_docs = docs_ds.count()
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
-    def tf_rows(t: pa.Table) -> "pd.DataFrame":
-        import zlib
-
-        wf = word_freq_batch(t)
-        w = wf.column("word").to_pylist()
-        # crc32, NOT hash(): Python string hashing is salted per process,
-        # which would scatter one word across groups on different workers
-        g = np.array([zlib.crc32(x.encode()) for x in w], np.uint64)
-        wg = ((g * golden) >> np.uint64(33)) % np.uint64(num_groups)
-        return pd.DataFrame(
-            {
-                "wg": wg.astype(np.int32),
-                "word": w,
-                "doc_id": wf.column("doc_id").to_numpy(),
-                "tf": wf.column("frequency").to_numpy(),
-            }
-        )
 
     def attach_df(df: "pd.DataFrame") -> "pd.DataFrame":
         # every (doc, word) row of a word lives in this group; a word's df
@@ -796,11 +791,8 @@ def tfidf_topk(docs_ds, k: int = 5, scale: int = 1_000_000, num_groups: int = 25
         dfs = run_len[run_id] if n else np.array([], np.int64)
         tf = df["tf"].to_numpy().astype(np.int64)
         score = tf * ((n_docs * scale) // dfs.astype(np.int64))
-        ids = df["doc_id"].to_numpy().astype(np.uint64)
-        dg = ((ids * golden) >> np.uint64(33)) % np.uint64(num_groups)
         return pd.DataFrame(
             {
-                "dg": dg.astype(np.int32),
                 "doc_id": df["doc_id"].to_numpy(),
                 "word": w,
                 "tf": tf,
@@ -821,13 +813,9 @@ def tfidf_topk(docs_ds, k: int = 5, scale: int = 1_000_000, num_groups: int = 25
         out["rank"] = rank[keep].astype(np.int64)
         return out
 
-    return (
-        docs_ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("wg")
-        .map_groups(attach_df, batch_format="pandas")
-        .groupby("dg")
-        .map_groups(topk, batch_format="pandas")
-    )
+    tf = docs_ds.map_batches(_word_tf_rows, batch_format="pyarrow")
+    with_df = coarse_groupby(tf, "word", attach_df, num_groups, "pandas")
+    return coarse_groupby(with_df, "doc_id", topk, num_groups, "pandas")
 
 
 def inverted_index(docs_ds, num_groups: int = 256):
@@ -846,26 +834,7 @@ def inverted_index(docs_ds, num_groups: int = 256):
     full list, which is the right semantics for the corpus-scale index
     the oracle can check.
     """
-    import zlib
-
     import pandas as pd
-
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
-    def tf_rows(t: pa.Table) -> "pd.DataFrame":
-        wf = word_freq_batch(t)
-        w = wf.column("word").to_pylist()
-        # crc32, NOT hash(): Python string hashing is salted per process
-        g = np.array([zlib.crc32(x.encode()) for x in w], np.uint64)
-        wg = ((g * golden) >> np.uint64(33)) % np.uint64(num_groups)
-        return pd.DataFrame(
-            {
-                "wg": wg.astype(np.int32),
-                "word": w,
-                "doc_id": wf.column("doc_id").to_numpy(),
-                "tf": wf.column("frequency").to_numpy(),
-            }
-        )
 
     def build(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["word", "doc_id"])
@@ -879,10 +848,12 @@ def inverted_index(docs_ds, num_groups: int = 256):
         out["total_tf"] = out["total_tf"].astype(np.int64)
         return out[["word", "df", "total_tf", "postings"]]
 
-    return (
-        docs_ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("wg")
-        .map_groups(build, batch_format="pandas")
+    return coarse_groupby(
+        docs_ds.map_batches(_word_tf_rows, batch_format="pyarrow"),
+        "word",
+        build,
+        num_groups,
+        "pandas",
     )
 
 
@@ -1005,37 +976,15 @@ def rare_word_ratio(docs_ds, max_df: int = 2, num_groups: int = 256):
     runs with np.add.reduceat (measured ~3x faster than a per-doc-key
     Ray Sum aggregate at sf0.1: millions of keys vs ~num_groups groups).
     """
-    import zlib
-
-    import pandas as pd
-
-    golden = np.uint64(0x9E3779B97F4A7C15)
-
-    def tf_rows(t: pa.Table) -> "pd.DataFrame":
-        wf = word_freq_batch(t)
-        w = wf.column("word").to_pylist()
-        # crc32, NOT hash(): Python string hashing is salted per process
-        g = np.array([zlib.crc32(x.encode()) for x in w], np.uint64)
-        wg = ((g * golden) >> np.uint64(33)) % np.uint64(num_groups)
-        return pd.DataFrame(
-            {
-                "wg": wg.astype(np.int32),
-                "word": w,
-                "doc_id": wf.column("doc_id").to_numpy(),
-                "tf": wf.column("frequency").to_numpy(),
-            }
-        )
-
     def flag_rare(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse wg key
-        # space then emit ARROW blocks (see CLAUDE.md block-type rule).
+        # pyarrow-format map_groups: empty partitions of the sparse word-group
+        # key space then emit ARROW blocks (see CLAUDE.md block-type rule).
         # Every (doc, word) row of a word lands in this group; df(word) is
         # its run length (word_freq rows are distinct per (doc, word))
         n = t.num_rows
         if n == 0:
             return pa.table(
                 {
-                    "dg": pa.array([], pa.int32()),
                     "doc_id": pa.array([], pa.int64()),
                     "tf": pa.array([], pa.int64()),
                     "rare_tf": pa.array([], pa.int64()),
@@ -1049,11 +998,8 @@ def rare_word_ratio(docs_ds, max_df: int = 2, num_groups: int = 256):
         run_len = np.bincount(run_id)
         rare = (run_len[run_id] <= max_df)
         tf = df["tf"].to_numpy().astype(np.int64)
-        ids = df["doc_id"].to_numpy().astype(np.uint64)
-        dg = ((ids * golden) >> np.uint64(33)) % np.uint64(num_groups)
         return pa.table(
             {
-                "dg": pa.array(dg.astype(np.int32), pa.int32()),
                 "doc_id": pa.array(df["doc_id"].to_numpy(), pa.int64()),
                 "tf": pa.array(tf, pa.int64()),
                 "rare_tf": pa.array(np.where(rare, tf, 0), pa.int64()),
@@ -1099,13 +1045,9 @@ def rare_word_ratio(docs_ds, max_df: int = 2, num_groups: int = 256):
             }
         )
 
-    return (
-        docs_ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("wg")
-        .map_groups(flag_rare, batch_format="pyarrow")
-        .groupby("dg")
-        .map_groups(doc_sums, batch_format="pyarrow")
-    )
+    tf = docs_ds.map_batches(_word_tf_rows, batch_format="pyarrow")
+    flagged = coarse_groupby(tf, "word", flag_rare, num_groups)
+    return coarse_groupby(flagged, "doc_id", doc_sums, num_groups)
 
 
 def pack_manifest(docs_ds, seq_len: int = 256, num_shards: int = 64):
@@ -1431,11 +1373,6 @@ def source_kl(
     t_total = float(sum(ts_map.values()))
     ts_ref = ray.put(ts_map)
 
-    def tag(tt: pa.Table) -> pa.Table:
-        w = np.asarray(tt.column("word").to_pylist(), dtype=object)
-        gh = (pd.util.hash_array(w) % np.uint64(num_groups)).astype(np.int32)
-        return tt.append_column("wg", pa.array(gh, pa.int32()))
-
     empty_schema = pa.schema(
         [pa.field(group_col, pa.string()), pa.field("kl_part", pa.float64())]
     )
@@ -1481,9 +1418,7 @@ def source_kl(
         )
 
     return (
-        counts.map_batches(tag, batch_format="pyarrow")
-        .groupby("wg")
-        .map_groups(kl_parts, batch_format="pyarrow")
+        coarse_groupby(counts, "word", kl_parts, num_groups)
         .groupby(group_col)
         .aggregate(Sum("kl_part", alias_name="kl"))
         .map_batches(finish, batch_format="pyarrow")
@@ -1538,11 +1473,6 @@ def source_vocab_jaccard(
         .to_pandas()
     )
     vs_ref = ray.put(dict(zip(vs[group_col], vs["nv"].astype(int))))
-
-    def tag(tt: pa.Table) -> pa.Table:
-        w = np.asarray(tt.column("word").to_pylist(), dtype=object)
-        gh = (pd.util.hash_array(w) % np.uint64(num_groups)).astype(np.int32)
-        return tt.append_column("wg", pa.array(gh, pa.int32()))
 
     empty = pa.schema(
         [
@@ -1600,9 +1530,7 @@ def source_vocab_jaccard(
         )
 
     return (
-        counts.map_batches(tag, batch_format="pyarrow")
-        .groupby("wg")
-        .map_groups(pair_parts, batch_format="pyarrow")
+        coarse_groupby(counts, "word", pair_parts, num_groups)
         .map_batches(lambda t: t, batch_format="pyarrow")
         .groupby(["src_a", "src_b"])
         .aggregate(Sum("part", alias_name="inter"))

@@ -19,6 +19,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..shuffle import coarse_groupby
+
 _HOST_RE = r"^[a-z][a-z0-9+.-]*://([^/]+)"
 _SCHEME_HOST_RE = r"^[a-z][a-z0-9+.-]*://[^/]*"
 
@@ -37,8 +39,6 @@ def url_template_stats(ds, url_col: str = "url", num_groups: int = 64):
     per host).  Hosts are never per-key groups — num_groups vectorized
     buckets, same discipline as the rest of the repo.
     """
-    from .joins import _key_hash64
-
     def partial(t: pa.Table) -> pa.Table:
         s = pd.Series(t.column(url_col).to_pylist(), dtype="object").fillna("")
         host = s.str.extract(_HOST_RE, expand=False).fillna("")
@@ -51,13 +51,8 @@ def url_template_stats(ds, url_col: str = "url", num_groups: int = 64):
             .size()
             .reset_index(name="cnt")
         )
-        gk = (
-            (_key_hash64(g["host"].to_numpy()) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(33)
-        ) % np.uint64(num_groups)
         return pa.table(
             {
-                "gk": pa.array(gk.astype(np.int32), pa.int32()),
                 "host": pa.array(g["host"], pa.string()),
                 "tmpl": pa.array(g["tmpl"], pa.string()),
                 "cnt": pa.array(g["cnt"].to_numpy(np.int64), pa.int64()),
@@ -97,8 +92,8 @@ def url_template_stats(ds, url_col: str = "url", num_groups: int = 64):
             }
         )
 
-    tagged = ds.map_batches(partial, batch_format="pyarrow")
-    return tagged.groupby("gk").map_groups(combine, batch_format="pyarrow")
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    return coarse_groupby(partials, "host", combine, num_groups)
 
 
 def apportion_budget(ds, key_col: str = "source", budget: int = 1000,
@@ -128,8 +123,6 @@ def apportion_budget(ds, key_col: str = "source", budget: int = 1000,
     """
     import ray
 
-    from .joins import _key_hash64
-
     def partial(t: pa.Table) -> pa.Table:
         s = pd.Series(t.column(key_col).to_pylist(), dtype="object").fillna("")
         if weight_col is None:
@@ -142,14 +135,9 @@ def apportion_budget(ds, key_col: str = "source", budget: int = 1000,
                 .groupby(s, sort=False)
                 .sum()
             )
-        keys = g.index.to_numpy()
-        gk = (
-            (_key_hash64(keys) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        ) % np.uint64(num_groups)
         return pa.table(
             {
-                "gk": pa.array(gk.astype(np.int32), pa.int32()),
-                key_col: pa.array(keys, pa.string()),
+                key_col: pa.array(g.index.to_numpy(), pa.string()),
                 "w": pa.array(g.to_numpy(np.int64), pa.int64()),
             }
         )
@@ -172,12 +160,9 @@ def apportion_budget(ds, key_col: str = "source", budget: int = 1000,
             }
         )
 
-    weights = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(combine, batch_format="pyarrow")
-        .materialize()
-    )
+    weights = coarse_groupby(
+        ds.map_batches(partial, batch_format="pyarrow"), key_col, combine, num_groups
+    ).materialize()
     W = int(weights.sum("w"))
     B = int(budget)
     assert W > 0, "apportion_budget: empty input"
@@ -276,8 +261,6 @@ def top_per_group_alloc(ds, alloc: dict, key_col: str = "host",
     """
     import ray
 
-    from .joins import _key_hash64
-
     if len(alloc) > driver_max_keys:
         raise ValueError(
             f"top_per_group_alloc: {len(alloc)} allocation keys exceed "
@@ -287,22 +270,14 @@ def top_per_group_alloc(ds, alloc: dict, key_col: str = "host",
         )
     alloc_ref = ray.put(dict(alloc))
 
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t.column(key_col).to_numpy(zero_copy_only=False)
-        gk = (
-            (_key_hash64(keys) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        ) % np.uint64(num_groups)
-        return t.append_column("gk", pa.array(gk.astype(np.int32), pa.int32()))
-
     def pick(t: pa.Table) -> pa.Table:
-        base = t.drop_columns(["gk"])
-        sch = base.schema.append(pa.field("rnk", pa.int64()))
+        sch = t.schema.append(pa.field("rnk", pa.int64()))
         if t.num_rows == 0:
             return sch.empty_table()
         import ray as _ray
 
         am = _ray.get(alloc_ref)
-        df = base.to_pandas()
+        df = t.to_pandas()
         df = df.sort_values(
             [key_col, *order_cols, tie_col],
             ascending=[True] + [False] * len(order_cols) + [True],
@@ -313,8 +288,7 @@ def top_per_group_alloc(ds, alloc: dict, key_col: str = "host",
         df = df[df["rnk"].to_numpy() <= budget]
         return pa.Table.from_pandas(df, preserve_index=False).cast(sch)
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("gk").map_groups(pick, batch_format="pyarrow")
+    return coarse_groupby(ds, key_col, pick, num_groups)
 
 
 def anchor_topk(pages_ds, k: int = 3, num_groups: int = 256,
@@ -341,7 +315,7 @@ def anchor_topk(pages_ds, k: int = 3, num_groups: int = 256,
     Anchor strings are capped at 256 chars to bound shuffle width on
     adversarial pages.
     """
-    tagged = _anchor_pairs(pages_ds, url_col, html_col, num_groups)
+    pairs = _anchor_pairs(pages_ds, url_col, html_col)
 
     out_schema = pa.schema(
         [
@@ -375,15 +349,15 @@ def anchor_topk(pages_ds, k: int = 3, num_groups: int = 256,
             }
         )
 
-    return tagged.groupby("gk").map_groups(combine, batch_format="pyarrow")
+    return coarse_groupby(pairs, "target", combine, num_groups)
 
 
-def _anchor_pairs(pages_ds, url_col: str, html_col: str, num_groups: int):
+def _anchor_pairs(pages_ds, url_col: str, html_col: str):
     """Shared map stage for the anchor family: tokenize each page once,
     resolve hrefs through childUrlAllowed + urlAllowed (frontier admission
     parity — bare relatives / bad schemes die exactly like in the crawl,
-    M12 -> M2), pre-aggregate the batch's (target, anchor) counts, tag a
-    coarse target-hash group key.  Anchors cap at 256 chars."""
+    M12 -> M2), pre-aggregate the batch's (target, anchor) counts.  Anchors
+    cap at 256 chars."""
     from ..htmlparse import extract_anchors
     from ..textops import to_valid_utf8
     from ..urlops import (
@@ -392,7 +366,6 @@ def _anchor_pairs(pages_ds, url_col: str, html_col: str, num_groups: int):
         extract_url_components,
         url_allowed,
     )
-    from .joins import _key_hash64
 
     def partial(t: pa.Table) -> pa.Table:
         urls = t.column(url_col).to_pylist()
@@ -424,13 +397,8 @@ def _anchor_pairs(pages_ds, url_col: str, html_col: str, num_groups: int):
             .size()
             .reset_index(name="cnt")
         )
-        gk = (
-            (_key_hash64(g["target"].to_numpy()) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(33)
-        ) % np.uint64(num_groups)
         return pa.table(
             {
-                "gk": pa.array(gk.astype(np.int32), pa.int32()),
                 "target": pa.array(g["target"], pa.string()),
                 "anchor": pa.array(g["anchor"], pa.string()),
                 "cnt": pa.array(g["cnt"].to_numpy(np.int64), pa.int64()),
@@ -499,5 +467,5 @@ def anchor_relevance(pages_ds, terms, num_groups: int = 256,
             }
         )
 
-    tagged = _anchor_pairs(pages_ds, url_col, html_col, num_groups)
-    return tagged.groupby("gk").map_groups(combine, batch_format="pyarrow")
+    pairs = _anchor_pairs(pages_ds, url_col, html_col)
+    return coarse_groupby(pairs, "target", combine, num_groups)

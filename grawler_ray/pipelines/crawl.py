@@ -63,6 +63,7 @@ import ray.data
 
 from ..config import CrawlConfig
 from ..htmlparse import parse_page
+from ..shuffle import coarse_group, coarse_groupby
 from ..state.pool import StateShard
 from ..urlops import (
     UrlError,
@@ -74,6 +75,20 @@ from ..urlops import (
 )
 
 ACTION_PENDING = "pending"
+
+_MIN_PARALLELISM = 8  # floor on control-table blocks and admission groups
+
+
+def _cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", _MIN_PARALLELISM))
+
+
+def _parallelism(cpus: int, rows: int = 0) -> int:
+    """Block count of a control table (and the admission group count):
+    4 x cluster CPUs, or one block per 100k rows when that is more, clamped
+    to [8, 512]."""
+    return max(_MIN_PARALLELISM, min(512, max(4 * cpus, rows // 100_000 + 1)))
+
 
 PARSED_COLUMNS = [
     "seq", "url", "parent_url", "host", "key_hash", "action", "content_type",
@@ -150,7 +165,7 @@ def _prepare_batch(cfg: CrawlConfig, admission_groups: int = 256):
         ).astype(np.int32)
         # hosts repeat heavily within a block: hash the distinct ones only
         uniq, inv = np.unique(np.asarray(ghost, dtype=object), return_inverse=True)
-        hg_uniq = (xxhash64_batch(list(uniq)) % np.uint64(admission_groups)).astype(np.int32)
+        hg_uniq = coarse_group(uniq, admission_groups)
         hg = np.where(ok, hg_uniq[inv], 0).astype(np.int32)
         return (
             t.append_column("scheme", pa.array(scheme))
@@ -278,26 +293,12 @@ def _admission_group(cfg: CrawlConfig):
     return fn
 
 
-def _dedup_tag_batch(num_groups: int = 512):
-    """Coarse hash of seen_key — the shuffle key for the skew-mode global
-    first-wins dedup (exact-key groups would be millions of singletons).
-    Reuses the key_hash column from the prepare stage (equal keys share it
-    by construction) — no re-hashing, one vectorized numpy mod."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        kh = t.column("key_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        kg = (kh % np.uint64(num_groups)).astype(np.int32)
-        return t.append_column("kg", pa.array(kg, pa.int32()))
-
-    return fn
-
-
 def _dedup_group() -> "callable":
-    """groupby(kg): intra-round first-wins dedup on seen_key (equal keys
-    share kg by construction).  Exactly the oracle's attempted_this_round
-    semantics: the first PENDING occurrence (lowest seq) claims the key, all
-    later ones dup-drop — regardless of what later stages do with the
-    first."""
+    """Coarse seen_key groups (exact-key groups would be millions of
+    singletons): intra-round first-wins dedup on seen_key.  Exactly the
+    oracle's attempted_this_round semantics: the first PENDING occurrence
+    (lowest seq) claims the key, all later ones dup-drop — regardless of
+    what later stages do with the first."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("seq")
@@ -672,11 +673,6 @@ def _distributed_children(kids_src, base_seq: int, nparts: int):
             cols["cash"] = t.column("cash")
         return pa.table(cols)
 
-    def hash_part(t: pa.Table) -> pa.Table:
-        s = t.column("seq").to_numpy(zero_copy_only=False).astype(np.uint64)
-        g = ((s * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(nparts)
-        return t.append_column("pg", pa.array(g.astype(np.int64), pa.int64()))
-
     def attach_explode(df: pd.DataFrame, base=base_seq) -> pd.DataFrame:
         df = df.sort_values(["seq", "off"])  # kid row (off=-1) first in run
         seqs_ = df["seq"].to_numpy()
@@ -713,15 +709,16 @@ def _distributed_children(kids_src, base_seq: int, nparts: int):
             cols["cash"] = pa.array(out_c, pa.int64())
         return pa.table(cols)
 
-    children_ds = (
+    children_ds = coarse_groupby(
         kids_src.select_columns(
             ["seq", "url", "child_urls"] + (["cash"] if with_cash else [])
         )
         .map_batches(kid_rows, batch_format="pyarrow")
-        .union(offsets_ds.map_batches(off_rows, batch_format="pyarrow"))
-        .map_batches(hash_part, batch_format="pyarrow")
-        .groupby("pg")
-        .map_groups(attach_explode, batch_format="pandas")
+        .union(offsets_ds.map_batches(off_rows, batch_format="pyarrow")),
+        "seq",
+        attach_explode,
+        nparts,
+        "pandas",
     )
     return children_ds, acc
 
@@ -762,7 +759,7 @@ def _next_frontier(kids_src, fetched: int, deferred_ds, deferred_rows: int,
     by the round loop only when another round will run, and by resume from
     the last complete round's checkpoints.  Returns (frontier Dataset | None
     when empty, frontier rows, children rows)."""
-    cluster_cpus = int(ray.cluster_resources().get("CPU", cfg.min_parallelism))
+    cluster_cpus = _cluster_cpus()
     if fetched <= cfg.offsets_driver_max:
         # small/medium rounds: per-parent (seq, child-count) — two int64 per
         # fetched page, computed DISTRIBUTED and pulled to the driver only
@@ -837,7 +834,7 @@ def _next_frontier(kids_src, fetched: int, deferred_ds, deferred_rows: int,
     # these blocks), so it must track cluster CPUs; the cap bounds
     # sort-shuffle overhead.  Materialized, not written and lazily re-read:
     # admission then streams from the object store (measured faster).
-    nparts = max(cfg.min_parallelism, min(512, max(4 * cluster_cpus, acc // 100_000 + 1)))
+    nparts = _parallelism(cluster_cpus, acc)
     return frontier_ds.repartition(nparts).materialize(), rows, acc
 
 
@@ -1009,12 +1006,8 @@ def run_crawl(
     frontier = pa.table(_seed_cols)
     # split the seed table: block count = map parallelism for round 0 (a
     # single from_arrow block would serialize the whole first round)
-    _cpus0 = int(ray.cluster_resources().get("CPU", cfg.min_parallelism))
-    frontier_ds = (
-        ray.data.from_arrow(frontier)
-        .repartition(max(cfg.min_parallelism, min(512, 4 * _cpus0)))
-        .materialize()
-    )
+    nparts0 = _parallelism(_cluster_cpus())
+    frontier_ds = ray.data.from_arrow(frontier).repartition(nparts0).materialize()
     next_seq = len(seeds)
     frontier_rows = len(seeds)
     ray.get(pending)
@@ -1171,9 +1164,7 @@ def run_crawl(
                 # this cluster's map parallelism for the whole first resumed
                 # round
                 frontier_ds = (
-                    ray.data.read_parquet(fpath)
-                    .repartition(max(cfg.min_parallelism, min(512, 4 * _cpus0)))
-                    .materialize()
+                    ray.data.read_parquet(fpath).repartition(nparts0).materialize()
                 )
                 frontier_rows = man["next_frontier_rows"]
             else:
@@ -1215,9 +1206,8 @@ def run_crawl(
             # batched robots gate ----
             # coarse admission shuffle: ~4 x cpus big vectorized groups, not
             # one pandas group per host (VERDICT r2 item 1)
-            adm_groups = max(cfg.min_parallelism, min(512, 4 * _cpus0))
             prepared = frontier_ds.map_batches(
-                _prepare_batch(cfg, adm_groups), batch_format="pyarrow"
+                _prepare_batch(cfg, nparts0), batch_format="pyarrow"
             ).map_batches(_seen_test_batch(actors, cfg), batch_format="pyarrow")
             if cfg.admission_mode == "skew":
                 # skew-aware path (north rule: hot domains must not become
@@ -1227,9 +1217,7 @@ def run_crawl(
                 # shuffling it by host — only <= quota x num_batches
                 # candidate rows per host reach the per-host quota group.
                 base = (
-                    prepared.map_batches(_dedup_tag_batch(), batch_format="pyarrow")
-                    .groupby("kg")
-                    .map_groups(_dedup_group(), batch_format="pandas")
+                    coarse_groupby(prepared, "seen_key", _dedup_group(), 512, "pandas")
                     .map_batches(_local_quota_batch(cfg), batch_format="pandas")
                     .materialize()
                 )
@@ -1598,21 +1586,13 @@ def _last_wins(ds, out_columns: list[str], num_groups: int = 256):
     (src/db/db.go:64,73), where a re-crawl's row replaces the earlier one.
     Coarse url-hash groups keep the groupby wide and vectorized."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        ug = [xxhash64(u) % num_groups for u in t.column("url").to_pylist()]
-        return t.append_column("ug", pa.array(ug, pa.int32()))
-
     def pick(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["url", "run_i", "rnd", "seq"]).drop_duplicates(
             "url", keep="last"
         )
         return pa.Table.from_pandas(df[out_columns], preserve_index=False)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("ug")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return coarse_groupby(ds, "url", pick, num_groups, "pandas")
 
 
 _DOCS_SCHEMA = pa.schema(

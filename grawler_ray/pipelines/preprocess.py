@@ -15,8 +15,8 @@ documented Acero defects) to carry text past the component keep-set.
 
 Scale shape (round 4): the TEXT PAYLOAD never rides a shuffle in the
 common low-dup-rate case — only ids and hashes do.  Both dedup stages
-compute a DROP-ID list over narrow columns (exact: one (hg, text_hash,
-doc_id) shuffle at ~50 B/row; near: minhash band shuffles over
+compute a DROP-ID list over narrow columns (exact: one (text_hash,
+doc_id) coarse shuffle at ~50 B/row; near: minhash band shuffles over
 signatures), then remove the drops from the materialized survivor set
 with a broadcast ``ray.put`` filter (drops are the DUPLICATES — the
 small side by construction).  Above ``driver_max_drop_ids`` the filter
@@ -32,7 +32,7 @@ plugs in.
 All-to-all exchanges per call.  Each is a Ray sort shuffle with about a
 second of fixed cost on a 4-CPU host, so the common case keeps three:
 
-  1. exact dedup: the ``hg`` groupby over (hg, text_hash, doc_id);
+  1. exact dedup: the coarse text_hash groupby over (text_hash, doc_id);
   2. near dedup, candidates: the LSH band ``gkey`` groupby;
   3. near dedup, verify: the pair-key ``pg`` groupby (the broadcast path
      of ``verify_pairs_join``: the pair list is already on the driver,
@@ -53,11 +53,22 @@ pre-token stages, and the train/holdout rows carry exact BPE token sums.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+from grawler_ray.shuffle import coarse_group, coarse_groupby
+
+
+def _mark(timings: dict | None, stage: str, t0: float) -> float:
+    """Record ``stage``'s wall seconds since ``t0`` in ``timings`` (when
+    given) and return now, the next stage's start."""
+    now = time.monotonic()
+    if timings is not None:
+        timings[stage] = round(now - t0, 3)
+    return now
 
 
 def _keep_quality_batch(quality_kwargs: dict):
@@ -75,11 +86,11 @@ def _keep_quality_batch(quality_kwargs: dict):
 
 
 def _exact_drop_ids(t: pa.Table) -> pa.Table:
-    """Coarse group over NARROW columns (hg, text_hash, doc_id): emit the
-    doc_ids that are NOT the min-doc_id of their text_hash run — i.e. the
-    exact duplicates to drop.  pyarrow format per the empty-partition rule
-    (CLAUDE.md): sparse hg spaces at small scale emit empty blocks of the
-    declared format."""
+    """Coarse text_hash group over NARROW columns (text_hash, doc_id): emit
+    the doc_ids that are NOT the min-doc_id of their text_hash run — i.e.
+    the exact duplicates to drop.  pyarrow format per the empty-partition
+    rule (CLAUDE.md): sparse group spaces at small scale emit empty blocks
+    of the declared format."""
     h = np.asarray(t.column("text_hash").to_pylist(), dtype=object)
     ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
     if len(h) == 0:
@@ -141,11 +152,9 @@ def _filter_join_text(docs_ds, ids_ds, num_groups: int, keep: bool):
     anti-join (drop members)."""
 
     def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["doc_id"].to_numpy().astype(np.uint64)
-        g = ((u * _GOLDEN) >> np.uint64(33)) % np.uint64(num_groups)
         return pd.DataFrame(
             {
-                "dg": g.astype(np.int32),
+                "dg": coarse_group(df["doc_id"], num_groups),
                 "doc_id": df["doc_id"].to_numpy().astype(np.int64),
                 "text": df["text"].to_numpy(),
                 "is_doc": np.ones(len(df), np.int8),
@@ -153,11 +162,9 @@ def _filter_join_text(docs_ds, ids_ds, num_groups: int, keep: bool):
         )
 
     def tag_keep(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["doc_id"].to_numpy().astype(np.uint64)
-        g = ((u * _GOLDEN) >> np.uint64(33)) % np.uint64(num_groups)
         return pd.DataFrame(
             {
-                "dg": g.astype(np.int32),
+                "dg": coarse_group(df["doc_id"], num_groups),
                 "doc_id": df["doc_id"].to_numpy().astype(np.int64),
                 "text": np.full(len(df), "", object),
                 "is_doc": np.zeros(len(df), np.int8),
@@ -236,7 +243,6 @@ def prep_corpus(
     scale, the r2 frontier lesson) — pay it when the run is long enough
     to die, which at 100 TB is always."""
     import gc as _gc
-    import time as _time
 
     import ray.data
 
@@ -248,15 +254,7 @@ def prep_corpus(
     from grawler_ray.functions.sampling import _bucket1000
     from grawler_ray.functions.textstats import token_count_batch
 
-    _t = _time.monotonic
-
-    def _mark(d: dict | None, stage: str, t0: float) -> float:
-        now = _t()
-        if d is not None:
-            d[stage] = round(now - t0, 3)
-        return now
-
-    t0 = _t()
+    t0 = time.monotonic()
     # NOTE: this count scans the lazy source once and the quality map
     # scans it again.  Materializing the input instead was MEASURED WORSE
     # at 653k docs (583 -> 782 s end-to-end): the pinned corpus copy sat
@@ -349,29 +347,24 @@ def prep_corpus(
     docs, n_quality = ck
     t0 = _mark(collect_timings, "quality", t0)
 
-    # 2. exact dedup: NARROW (hg, text_hash, doc_id) shuffle -> drop-id
+    # 2. exact dedup: NARROW (text_hash, doc_id) coarse shuffle -> drop-id
     # list -> broadcast filter (payload never rides the exchange; the old
     # full-payload groupby sort spilled 33 GB on a 4 GB corpus)
-    from grawler_ray.urlops import xxhash64_batch
-
-    def tag_hash(t: pa.Table) -> pa.Table:
-        ht = exact_hash_batch(t)
-        hashes = ht.column("text_hash").to_pylist()
-        g = (xxhash64_batch(hashes) % np.uint64(num_groups)).astype(np.int32)
+    def text_hashes(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "hg": pa.array(g, pa.int32()),
-                "text_hash": ht.column("text_hash"),
+                "text_hash": exact_hash_batch(t).column("text_hash"),
                 "doc_id": t.column("doc_id"),
             }
         )
 
     ck = _ckpt_load("exact_dedup")
     if ck is None:
-        exact_drops = (
-            docs.map_batches(tag_hash, batch_format="pyarrow")
-            .groupby("hg")
-            .map_groups(_exact_drop_ids, batch_format="pyarrow")
+        exact_drops = coarse_groupby(
+            docs.map_batches(text_hashes, batch_format="pyarrow"),
+            "text_hash",
+            _exact_drop_ids,
+            num_groups,
         )
         ck = _ckpt_store(
             _drop_docs(docs, exact_drops, num_groups, driver_max_drop_ids),
@@ -507,22 +500,12 @@ def curate_corpus(
     construction.  Langs are low-cardinality, the group_ntile
     assumption.
     """
-    import time as _time
-
     from grawler_ray.functions.joins import repartition_join
     from grawler_ray.functions.quality import dsir_weights
     from grawler_ray.functions.sampling import group_ntile
     from grawler_ray.functions.textstats import bigram_lm_score, langid_batch
 
-    _t = _time.monotonic
-
-    def _mark(d: dict | None, stage: str, t0: float) -> float:
-        now = _t()
-        if d is not None:
-            d[stage] = round(now - t0, 3)
-        return now
-
-    t0 = _t()
+    t0 = time.monotonic()
     # 1-2. narrow per-doc metadata tables (text never leaves its batch)
     langs = (
         docs_ds.select_columns(["doc_id", "text"])

@@ -151,3 +151,48 @@ def test_degree_and_triangles_vs_bruteforce(ray_session, rng):
     got_tri = triangle_count(pairs_ds).to_pandas()
     assert int(got_tri.n_triangles.iloc[0]) == tri_want
     assert tri_want > 0  # the fixture actually plants triangles
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    df = df[sorted(df.columns)]
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize(
+    "op", ["cap_per_group", "url_template_stats", "hash_semi_join", "inverted_index"]
+)
+def test_output_independent_of_num_groups(ray_session, rng, op):
+    """Ops whose string-key partition hash changed when they moved onto
+    shuffle.coarse_group: one coarse group and the default group count
+    must give the same rows (the partition only decides where a key's rows
+    meet, never what the op computes)."""
+    import ray.data
+
+    from grawler_ray.functions.joins import hash_semi_join
+    from grawler_ray.functions.sampling import cap_per_group
+    from grawler_ray.functions.textstats import inverted_index
+    from grawler_ray.functions.urlstats import url_template_stats
+
+    n = 400
+    hosts = [f"h{int(x)}.example" for x in rng.integers(0, 30, n)]
+    docs = pd.DataFrame(
+        {
+            "doc_id": rng.permutation(n).astype(np.int64),
+            "source": hosts,
+            "url": [f"http://{h}/p/{int(x)}" for h, x in zip(hosts, rng.integers(0, 50, n))],
+            "text": [" ".join(rng.choice(["ab", "cd", "ef", "gh", "x1"], 6)) for _ in range(n)],
+        }
+    )
+    ds = ray.data.from_pandas(docs).repartition(4)
+    keys = ray.data.from_pandas(pd.DataFrame({"host": [f"h{i}.example" for i in range(0, 30, 3)]}))
+    run = {
+        "cap_per_group": lambda **kw: cap_per_group(ds, cap=3, **kw),
+        "url_template_stats": lambda **kw: url_template_stats(ds, **kw),
+        "hash_semi_join": lambda **kw: hash_semi_join(
+            ds.select_columns(["doc_id", "source"]), keys, "source", "host", **kw
+        ),
+        "inverted_index": lambda **kw: inverted_index(ds, **kw),
+    }[op]
+    default = _sorted(run().to_pandas())
+    assert len(default) > 0
+    pd.testing.assert_frame_equal(_sorted(run(num_groups=1).to_pandas()), default)
