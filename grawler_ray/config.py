@@ -53,8 +53,8 @@ class CrawlConfig:
     # admission group (equal keys co-locate); the frontier fetches
     # highest-cash first, seq tiebreak.  Deferred URLs keep accumulating.
     # Cash of dropped rows (robots/scheme/fetch-miss/childless) is burned.
-    # Requires admission_mode="grouped" and fetch_mode="corpus";
-    # incompatible with max_urls like "priority".
+    # Requires fetch_mode="corpus"; incompatible with max_urls like
+    # "priority".
     frontier_order: str = "fifo"
     opic_total_cash: int = 10**12
     # False = reference parity (assume UTF-8, Go ToValidUTF8 strips invalid
@@ -81,7 +81,6 @@ class CrawlConfig:
     max_urls: int | None = None
 
     # physical execution
-    admission_mode: str = "grouped"  # "grouped" (one politeness group per host) | "skew" (hot-host-safe: global key dedup + local top-quota prefilter; identical trace, tested)
     fetch_mode: str = "corpus"       # "corpus" (bucketed-parquet point join) | "http" (live fetch, S3 utils.go:22-45)
     http_concurrency: int = 4        # HttpFetcher actor-pool size (http mode)
     http_timeout_s: float = 10.0
@@ -90,17 +89,13 @@ class CrawlConfig:
     seen_shards: int = 8             # state actors: one seen-set shard + the robots cache of its hosts each
     seen_mode: str = "exact"         # "exact" (conformance) | "cuckoo" (scale)
     parse_batch_size: int = 64       # html rows per parse batch (bodies are large)
-    # child-seq assignment: rounds with more fetched pages than this use the
-    # fully distributed prefix sum (driver holds one row per block); below
-    # it, the (seq, count) pairs — 16 B/page — go to the driver directly
-    offsets_driver_max: int = 5_000_000
 
     # resume: persist per-round seen-shard snapshots (round=R/seen/shard=K
     # .parquet, written BY the shard actors).  Resume restores the last
     # complete round's snapshot in O(seen-set) instead of re-scanning every
     # completed round's parsed files — the difference between O(1 round) and
     # O(history) at 10^10 keys.  The rebuild path remains the fallback when
-    # snapshots are absent/mismatched (old out_dirs, changed shard count).
+    # snapshots are absent/mismatched (snapshots off, changed shard count).
     seen_snapshots: bool = True
 
     # observability

@@ -286,12 +286,6 @@ def lsh_band_explode(num_bands: int = 16, num_groups: int = 256):
     return fn
 
 
-def _pack_shingles(text: str) -> bytes:
-    """Shingle set as a sorted uint64-LE blob (Acero joins reject list<>
-    payload columns; numpy unpacks it zero-copy for set intersection)."""
-    return np.fromiter(sorted(shingles(text)), dtype=np.uint64).tobytes()
-
-
 def _blob_jaccard(sa: bytes, sb: bytes) -> float:
     a = np.frombuffer(sa, dtype=np.uint64)
     b = np.frombuffer(sb, dtype=np.uint64)
@@ -300,48 +294,6 @@ def _blob_jaccard(sa: bytes, sb: bytes) -> float:
     inter = np.intersect1d(a, b, assume_unique=True).size
     u = len(a) + len(b) - inter
     return inter / u if u else 0.0
-
-
-def minhash_blob_batch(num_perm: int = 128, seed: int = 1, num_bands: int = 16, num_groups: int = 256):
-    """One fused map: text -> exploded band rows carrying the shingle blob
-    (gkey, band, band_hash, doc_id, sh).  gkey is a COARSE group key
-    (hash(band, band_hash) % num_groups): grouping by it gives a bounded
-    number of big groups that a vectorized run-scan processes, instead of
-    one pandas group per (mostly singleton) LSH bucket."""
-    a, b = _perm_params(num_perm, seed)
-
-    def fn(t: pa.Table) -> pa.Table:
-        doc_ids = t.column("doc_id").to_pylist()
-        sig_rows, doc_blobs = [], []
-        for sh in shingles_batch(t.column("text").to_pylist()):
-            sig_rows.append(minhash_signature(sh, a, b))
-            doc_blobs.append(sh.tobytes())  # sorted-unique already
-        n = len(doc_ids)
-        if n == 0:
-            return pa.table(
-                {
-                    "gkey": pa.array([], pa.int32()),
-                    "band": pa.array([], pa.int32()),
-                    "band_hash": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "sh": pa.array([], pa.binary()),
-                }
-            )
-        bh, gkey = band_hash_matrix(np.vstack(sig_rows), num_bands, num_groups)
-        blobs = [blob for blob in doc_blobs for _ in range(num_bands)]
-        return pa.table(
-            {
-                "gkey": pa.array(gkey.ravel(), pa.int32()),
-                "band": pa.array(np.tile(np.arange(num_bands, dtype=np.int32), n), pa.int32()),
-                "band_hash": pa.array(bh.ravel(), pa.int64()),
-                "doc_id": pa.array(
-                    np.repeat(np.asarray(doc_ids, np.int64), num_bands), pa.int64()
-                ),
-                "sh": pa.array(blobs, pa.binary()),
-            }
-        )
-
-    return fn
 
 
 _EMPTY_PAIRS = {"a": pd.Series([], dtype="int64"), "b": pd.Series([], dtype="int64")}
@@ -403,52 +355,6 @@ def jaccard(s1: set[int], s2: set[int]) -> float:
     return len(s1 & s2) / u if u else 0.0
 
 
-def _bucket_local_verify(threshold: float, max_bucket: int):
-    """groupby(gkey): vectorized run-scan over the coarse group — rows are
-    sorted by (band, band_hash); each run is one true LSH bucket; pairs are
-    emitted and Jaccard-verified in place from the co-local shingle blobs."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["band", "band_hash", "doc_id"]).drop_duplicates(
-            ["band", "band_hash", "doc_id"]
-        )
-        bd = df["band"].to_numpy()
-        bh = df["band_hash"].to_numpy()
-        ids = df["doc_id"].to_numpy()
-        blobs = df["sh"].tolist()
-        change = (np.diff(bd) != 0) | (np.diff(bh) != 0)
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1, [len(df)]))
-        out_a: list[int] = []
-        out_b: list[int] = []
-        out_j: list[float] = []
-        for s, e in zip(starts[:-1], starts[1:]):
-            if e - s < 2:
-                continue
-            if e - s > max_bucket:
-                logging.getLogger("grawler_ray.dedup").warning(
-                    "LSH bucket (band=%d) of %d docs truncated to %d — "
-                    "near-dups among the dropped tail are missed",
-                    bd[s], e - s, max_bucket,
-                )
-                e = s + max_bucket
-            for x in range(s, e):
-                for y in range(x + 1, e):
-                    j = _blob_jaccard(blobs[x], blobs[y])
-                    if j >= threshold:
-                        out_a.append(int(ids[x]))
-                        out_b.append(int(ids[y]))
-                        out_j.append(j)
-        return pd.DataFrame(
-            {
-                "a": pd.Series(out_a, dtype="int64"),
-                "b": pd.Series(out_b, dtype="int64"),
-                "jaccard": pd.Series(out_j, dtype="float64"),
-            }
-        )
-
-    return fn
-
-
 def minhash_dedup(
     docs_ds,
     threshold: float = 0.8,
@@ -457,26 +363,17 @@ def minhash_dedup(
     max_bucket: int = 256,
     num_partitions: int = 16,
     num_groups: int = 256,
-    verify: str = "local",
     driver_max_members: int = 2_000_000,
 ):
     """Full MinHash+LSH near-dup pipeline over a documents Dataset.
-    Returns a Dataset of (a, b, jaccard) verified pairs (a < b).  Every
-    stage is a Dataset op — nothing is pulled to the driver and nothing is
-    broadcast (VERDICT r1 item 1).  Two verification strategies:
+    Returns a Dataset of (a, b, jaccard) verified pairs (a < b).
 
-    ``verify="local"`` (default): the shingle blob rides the band explode, so
-    each LSH bucket verifies its candidate pairs IN the bucket groupby —
-    one shuffle + one hash-aggregate total, no joins.  Shuffle volume is
-    num_bands x blob bytes per doc; candidate pairs seen by k bands collapse
-    afterwards in a vectorized (a, b) hash aggregate.
-
-    ``verify="join"``: candidate pairs are found from (band, band_hash,
-    doc_id) rows only (~20 B/doc/band shuffled); the text then reaches
-    ``verify_pairs_join``, which computes each candidate's shingle blob
-    once and moves it once per pair side — never once per band — the right
-    trade once the banded blob volume dwarfs the candidate set (very large
-    corpora).  Built on Ray's native sort shuffle: Ray 2.49's Acero-based
+    Candidate pairs are found from (band, band_hash, doc_id) rows only
+    (~20 B/doc/band shuffled); the text then reaches ``verify_pairs_join``,
+    which computes each candidate's shingle blob once and moves it once per
+    pair side.  Shingle blobs never ride the band shuffle: that would ship
+    num_bands x blob bytes per doc, which ran a 900k-doc chain out of disk.
+    Built on Ray's native sort shuffle: Ray 2.49's Acero-based
     Dataset.join breaks on empty hash partitions and its per-join
     aggregator actor pools can deadlock each other, so no Dataset.join
     here.  Exchanges, by the raw candidate rows (a pair found by k bands
@@ -497,23 +394,7 @@ def minhash_dedup(
       budget the union's consumer Sort needs to start — observed stuck at
       0 tasks for minutes at 900k docs).
     """
-    from ray.data.aggregate import Count, Min
-
-    if verify == "local":
-        return (
-            docs_ds.select_columns(["doc_id", "text"])
-            .map_batches(
-                minhash_blob_batch(num_perm, 1, num_bands, num_groups),
-                batch_format="pyarrow",
-            )
-            .groupby("gkey")
-            .map_groups(_bucket_local_verify(threshold, max_bucket), batch_format="pandas")
-            # arrow blocks: pandas-block multi-key aggregates are a ~20x
-            # Ray 2.49 slow path (user_retention measurement, round 4)
-            .map_batches(lambda t: t, batch_format="pyarrow")
-            .groupby(["a", "b"])
-            .aggregate(Min("jaccard", alias_name="jaccard"))
-        )
+    from ray.data.aggregate import Count
 
     sigs = docs_ds.map_batches(minhash_batch(num_perm), batch_format="pyarrow")
     pairs = (
@@ -561,7 +442,7 @@ def verify_pairs_join(
     """Exact-Jaccard verification of candidate ``(a, b)`` pairs (int64,
     a < b; a pair may repeat and is verified and returned once).  Returns
     (a, b, jaccard) rows with ``jaccard >= threshold``.  Shared by
-    ``minhash_dedup(verify="join")``, ``ssjoin_pairs`` and
+    ``minhash_dedup``, ``ssjoin_pairs`` and
     ``cross_ssjoin_pairs``.  Two paths, by ``2 x pair rows`` against
     ``driver_max_members``; both are asserted equal in
     tests/test_dedup_pipelines.py (``driver_max_members=0`` forces the
@@ -616,7 +497,7 @@ def verify_pairs_join(
         texts = df["text"].tolist()
         starts = np.concatenate(([0], np.flatnonzero(np.diff(dids) != 0) + 1, [len(df)]))
         # batch the shingle/blob computation across the group's docs
-        # (shingles_batch, round 4) instead of per-doc _pack_shingles
+        # (shingles_batch, round 4)
         blob_runs = [
             (s, e)
             for s, e in zip(starts[:-1], starts[1:])
@@ -1039,7 +920,7 @@ def ssjoin_pairs(
         .groupby(["a", "b", "v"])
         .aggregate(Count(alias_name="_nc"))
         .select_columns(["a", "b", "v"])
-        .materialize()  # same sequencing rationale as minhash verify="join"
+        .materialize()  # same sequencing rationale as minhash_dedup
     )
 
     def split(flag: int):
@@ -1361,7 +1242,7 @@ def simhash_pairs(docs_ds, max_hamming: int = 3, max_bucket: int = 1024, num_gro
         for bi, (off, w) in enumerate(zip(offsets, widths)):
             key = ((h >> np.uint64(off)) & np.uint64((1 << w) - 1)).astype(np.int64)
             # coarse group key: bounded group count for the vectorized
-            # run-scan (same trick as minhash_blob_batch)
+            # run-scan (same trick as lsh_band_explode)
             gkeys.append((np.uint64(bi * 0x9E3779B9) ^ key.view(np.uint64)) % np.uint64(num_groups))
             blocks.append(np.full(n, bi, dtype=np.int32))
             keys.append(key)

@@ -374,7 +374,7 @@ def grouped_quantile_sketch(ds, group_col: str, value_col: str,
     Partitioning assumption (documented per the brief): group cardinality
     is moderate (<= ~10^5) — map_groups runs one Python merge per group;
     an extreme-cardinality variant would coarse-hash groups and run-scan
-    (the `_dedup_group` pattern).
+    (the `shuffle.coarse_groupby` pattern).
 
     Same exactness property as `quantile_sketch`: with k >= max group
     size the answers are the exact per-group lower quantiles, which is

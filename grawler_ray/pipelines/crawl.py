@@ -77,6 +77,10 @@ from ..urlops import (
 ACTION_PENDING = "pending"
 
 _MIN_PARALLELISM = 8  # floor on control-table blocks and admission groups
+# child-seq assignment: rounds with more fetched pages than this use the
+# fully distributed prefix sum (driver holds one row per block); below it,
+# the (seq, count) pairs — 16 B/page — go to the driver directly
+_OFFSETS_DRIVER_MAX = 5_000_000
 
 
 def _cluster_cpus() -> int:
@@ -185,6 +189,12 @@ def _prepare_batch(cfg: CrawlConfig, admission_groups: int = 256):
     return fn
 
 
+def _shard_groups(idx: np.ndarray, shard: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Rows ``idx`` split by their per-row ``shard`` id: one (shard, row
+    indices) group per shard the rows touch, indices in row order — the
+    routing of every per-shard state-actor call (one call per group)."""
+    sh = shard[idx]
+    return [(int(s), idx[sh == s]) for s in np.unique(sh)]
 
 
 def _seen_test_batch(seen_actors, cfg: CrawlConfig):
@@ -200,16 +210,14 @@ def _seen_test_batch(seen_actors, cfg: CrawlConfig):
         keys = t.column("seen_key").to_pylist()
         shards = t.column("shard").to_numpy(zero_copy_only=False)
         hashes = t.column("key_hash").to_numpy(zero_copy_only=False)
-        refs, order = [], []
-        for sh in np.unique(shards[pending]):
-            idxs = pending[shards[pending] == sh]
-            refs.append(
-                seen_actors[int(sh)].test_batch.remote(
-                    [keys[i] for i in idxs], [int(hashes[i]) for i in idxs]
-                )
+        groups = _shard_groups(pending, shards)
+        refs = [
+            seen_actors[sh].test_batch.remote(
+                [keys[i] for i in idxs], hashes[idxs].tolist()
             )
-            order.append(idxs)
-        for idxs, res in zip(order, ray.get(refs)):
+            for sh, idxs in groups
+        ]
+        for (_sh, idxs), res in zip(groups, ray.get(refs)):
             hit_idx = idxs[np.asarray(res, dtype=bool)]
             actions[hit_idx] = "dup-drop"
         return t.set_column(
@@ -293,52 +301,6 @@ def _admission_group(cfg: CrawlConfig):
     return fn
 
 
-def _dedup_group() -> "callable":
-    """Coarse seen_key groups (exact-key groups would be millions of
-    singletons): intra-round first-wins dedup on seen_key.  Exactly the
-    oracle's attempted_this_round semantics: the first PENDING occurrence
-    (lowest seq) claims the key, all later ones dup-drop — regardless of
-    what later stages do with the first."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("seq")
-        pending = df["action"] == ACTION_PENDING
-        dup = pending & df["seen_key"].duplicated(keep="first")
-        df.loc[dup, "action"] = "dup-drop"
-        return df
-
-    return fn
-
-
-def _local_quota_batch(cfg: CrawlConfig):
-    """Skew prefilter: a pending row with >= per_host_quota lower-seq pending
-    same-host rows IN ITS OWN BATCH already has >= quota earlier rows
-    globally, so its politeness outcome is 'deferred' no matter what — label
-    it here and never ship it to the host group.  Survivors (<= quota per
-    host per batch) are marked cand=1; only they enter the per-host quota
-    groupby, so a hot host contributes quota x num_batches candidate rows
-    instead of its whole frontier (the straggler the north rule's
-    'skew-aware repartitioning of hot domains' is about)."""
-
-    order = ["seq"] if cfg.frontier_order == "fifo" else ["prio", "seq"]
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(order)
-        pending = df["action"] == ACTION_PENDING
-        cand = np.zeros(len(df), dtype=np.int8)
-        if pending.any():
-            sub = df.loc[pending]
-            rank = sub.groupby("host", sort=False).cumcount()
-            is_cand = rank < cfg.per_host_quota
-            cand[np.flatnonzero(pending.to_numpy())] = is_cand.to_numpy().astype(np.int8)
-            over_idx = sub.index[~is_cand]
-            df.loc[over_idx, "action"] = "deferred"
-        df["cand"] = cand
-        return df
-
-    return fn
-
-
 def _robots_gate_batch(actors, cfg: CrawlConfig):
     """T3 robots gate, batched per shard (VERDICT r1 item 6): rows marked
     ``robots-wait`` are routed to their host's state actor
@@ -356,26 +318,19 @@ def _robots_gate_batch(actors, cfg: CrawlConfig):
         hosts = t.column("host").to_pylist()
         bases = t.column("base_url").to_pylist()
         urls = t.column("url").to_pylist()
-        host_shard: dict[str, int] = {}
-        by_shard: dict[int, list[int]] = {}
-        for i in wait:
-            h = hosts[i]
-            sh = host_shard.get(h)
-            if sh is None:
-                sh = xxhash64(h) % nsh
-                host_shard[h] = sh
-            by_shard.setdefault(sh, []).append(int(i))
-        refs, order = [], []
-        for sh, idxs in by_shard.items():
-            refs.append(
-                actors[sh].gate_many.remote(
-                    [hosts[i] for i in idxs],
-                    [bases[i] for i in idxs],
-                    [urls[i] for i in idxs],
-                )
+        # hosts repeat heavily within a batch: hash the distinct ones only
+        uniq, inv = np.unique(np.asarray(hosts, dtype=object), return_inverse=True)
+        shard = (xxhash64_batch(uniq.tolist()) % np.uint64(nsh))[inv]
+        groups = _shard_groups(wait, shard)
+        refs = [
+            actors[sh].gate_many.remote(
+                [hosts[i] for i in idxs],
+                [bases[i] for i in idxs],
+                [urls[i] for i in idxs],
             )
-            order.append(idxs)
-        for idxs, res in zip(order, ray.get(refs)):
+            for sh, idxs in groups
+        ]
+        for (_sh, idxs), res in zip(groups, ray.get(refs)):
             for i, ok in zip(idxs, res):
                 actions[i] = "admitted" if ok else "robots-drop"
         return t.set_column(
@@ -553,31 +508,28 @@ class ParsePages:
 
 
 def _commit_seen_batch(seen_actors, cfg: CrawlConfig):
-    """T1 commit AFTER successful parse (crawler.go:178), from the url column
-    of fetched rows.  Idempotent on the shard, so task retries are safe.
-    Reuses the ``key_hash`` computed in the prepare stage when the batch
-    carries it (the parsed checkpoint does) instead of re-hashing each URL."""
+    """T1 commit AFTER successful parse (crawler.go:178), from the url and
+    ``key_hash`` columns of fetched rows (the parsed checkpoint carries the
+    hash the prepare stage computed).  Idempotent on the shard, so task
+    retries are safe.  Returns the batch: the commit rides a read as a
+    pass-through map."""
 
-    def fn(t: pa.Table) -> None:
+    def fn(t: pa.Table) -> pa.Table:
         urls = t.column("url").to_pylist()
-        hashes = (
-            t.column("key_hash").to_pylist()
-            if "key_hash" in t.schema.names
-            else None
+        keys = [canonical_url(u) for u in urls] if cfg.canonicalize_seen else urls
+        hashes = t.column("key_hash").to_numpy(zero_copy_only=False)
+        groups = _shard_groups(
+            np.arange(len(urls)), hashes % np.uint64(cfg.seen_shards)
         )
-        by_shard: dict[int, tuple[list[str], list[int]]] = {}
-        for i, u in enumerate(urls):
-            k = canonical_url(u) if cfg.canonicalize_seen else u
-            h = hashes[i] if hashes is not None else xxhash64(k)
-            ks, hs = by_shard.setdefault(h % cfg.seen_shards, ([], []))
-            ks.append(k)
-            hs.append(h)
         ray.get(
             [
-                seen_actors[sh].commit_batch.remote(ks, hs)
-                for sh, (ks, hs) in by_shard.items()
+                seen_actors[sh].commit_batch.remote(
+                    [keys[i] for i in idxs], hashes[idxs].tolist()
+                )
+                for sh, idxs in groups
             ]
         )
+        return t
 
     return fn
 
@@ -597,22 +549,22 @@ def _counts_batch(t: pa.Table) -> pa.Table:
 
 def _distributed_children(kids_src, base_seq: int, nparts: int):
     """Child-seq assignment without a per-page driver pull (VERDICT r1 item
-    7), for rounds beyond ``cfg.offsets_driver_max`` fetched pages:
+    7), for rounds beyond ``_OFFSETS_DRIVER_MAX`` fetched pages:
 
     1. (seq, n) rows — 16 B/page — are range-SORTED by seq; within each
        sorted block a local cumsum gives in-block offsets;
     2. per-block (min_seq, total) single-row partials go to the driver —
        O(num_blocks), not O(pages) — for the tiny block-base prefix sum;
     3. a repartition join (union + hash(seq) groupby, same pattern as
-       minhash_dedup's verify="join") attaches each parent's offset and
-       explodes its children in-group.
+       verify_pairs_join's full-corpus path) attaches each parent's offset
+       and explodes its children in-group.
 
     Returns (children Dataset of (seq, url, parent_url[, cash]), total
     children).  A ``cash`` column on kids_src (frontier_order="opic") rides
     the join and splits per child (integer //, remainder burned).
     The oracle invariant — children numbered consecutively in (parent_seq,
     child_idx) order — is preserved exactly; tests force this path via
-    offsets_driver_max=0 and assert full trace equality."""
+    _OFFSETS_DRIVER_MAX=0 and assert full trace equality."""
     with_cash = "cash" in kids_src.schema().names
     counts = (
         kids_src.map_batches(_counts_batch, batch_format="pyarrow")
@@ -760,7 +712,7 @@ def _next_frontier(kids_src, fetched: int, deferred_ds, deferred_rows: int,
     the last complete round's checkpoints.  Returns (frontier Dataset | None
     when empty, frontier rows, children rows)."""
     cluster_cpus = _cluster_cpus()
-    if fetched <= cfg.offsets_driver_max:
+    if fetched <= _OFFSETS_DRIVER_MAX:
         # small/medium rounds: per-parent (seq, child-count) — two int64 per
         # fetched page, computed DISTRIBUTED and pulled to the driver only
         # for the prefix sum (numpy argsort/cumsum)
@@ -914,14 +866,16 @@ def run_crawl(
     ``resume=True``: continue from the last round whose manifest says
     complete — the next frontier is rebuilt from that round's checkpoints
     (parsed fetched rows, ``deferred`` rows, ``first_child_seq``) by the same
-    helper the round loop uses; an out_dir written before rounds stopped
-    writing ``frontier_next`` resumes from that file.  The seen set is
-    restored from that round's per-shard snapshot (``seen/shard=K.parquet``,
-    O(seen set)) when its (mode, shard count) match this run's config;
-    otherwise it is rebuilt by re-committing the ``url`` column of every
-    completed round's parsed file (column-pruned reads, O(history)) —
-    ``stats["seen_restore"]`` records which path ran.
-    Interrupted (incomplete) round directories are simply overwritten.
+    helper the round loop uses.  A last manifest without
+    ``first_child_seq`` or ``respect_nofollow`` (an older checkpoint
+    layout) raises ``ValueError`` before any round runs: start a fresh
+    out_dir.  The seen set is restored from that round's per-shard snapshot
+    (``seen/shard=K.parquet``, O(seen set)) when its (mode, shard count)
+    match this run's config; otherwise it is rebuilt by re-committing the
+    ``url``/``key_hash`` columns of every completed round's parsed file
+    (column-pruned reads, O(history)) — ``stats["seen_restore"]`` records
+    which path ran.  Interrupted (incomplete) round directories are simply
+    overwritten.
 
     ``resume=False`` treats ``out_dir`` as owned by this run: any round
     directories from a previous crawl are deleted up front — otherwise a
@@ -937,15 +891,34 @@ def run_crawl(
         raise ValueError(
             f"frontier_order={cfg.frontier_order!r} is incompatible with max_urls"
         )
-    if cfg.frontier_order == "opic" and cfg.admission_mode != "grouped":
-        # skew mode's global dedup drops duplicate rows BEFORE the admission
-        # group ever sees them — their cash would silently vanish instead of
-        # summing into the kept row
-        raise ValueError("frontier_order='opic' requires admission_mode='grouped'")
     if cfg.frontier_order == "opic" and cfg.fetch_mode != "corpus":
         raise ValueError("frontier_order='opic' requires fetch_mode='corpus'")
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    # resume: the last complete round's manifest, checked before any actor
+    # starts.  Its parsed checkpoint, deferred rows and first_child_seq
+    # rebuild the next frontier; respect_nofollow pins the parsed schema
+    # (the noindex column) — a resume with a toggled flag would mix
+    # per-round schemas in one out_dir, which the readers cannot read.
+    done = _completed_rounds(out_dir) if resume else []
+    man = None
+    if done:
+        with open(os.path.join(_round_dir(out_dir, done[-1]), "manifest.json")) as f:
+            man = json.load(f)
+        if "first_child_seq" not in man or "respect_nofollow" not in man:
+            raise ValueError(
+                f"resume: the last manifest in {out_dir!r} lacks first_child_seq "
+                "or respect_nofollow — it was written by an older checkpoint "
+                "layout this engine no longer resumes; start a fresh out_dir."
+            )
+        if man["respect_nofollow"] != cfg.respect_nofollow:
+            raise ValueError(
+                f"resume: out_dir was crawled with respect_nofollow="
+                f"{man['respect_nofollow']}; this run sets {cfg.respect_nofollow}. "
+                "Mixed per-round schemas in one out_dir are not "
+                "readable — resume with the original flag or start a "
+                "fresh out_dir."
+            )
     if not resume:
         for d in os.listdir(out_dir):
             if d.startswith("round="):
@@ -1016,159 +989,88 @@ def run_crawl(
         "setup_sec": time.monotonic() - t0,
     }
 
-    if resume:
-        done = _completed_rounds(out_dir)
-        if done:
-            last = done[-1]
-            with open(os.path.join(_round_dir(out_dir, last), "manifest.json")) as f:
-                man = json.load(f)
-            # respect_nofollow changes the PARSED SCHEMA (the noindex
-            # column) — a resume with a toggled flag would mix per-round
-            # schemas in one out_dir: either noindex rows leak into the
-            # sinks or read_parquet fails on the missing column.  Old
-            # manifests (pre-flag) recorded nothing: infer from the last
-            # round's parsed schema instead.
-            prev_nf = man.get("respect_nofollow")
-            if prev_nf is None:
-                _pr = _parsed_rounds(out_dir)
-                if _pr:
-                    prev_nf = "noindex" in pq.read_schema(_pr[-1][1][0]).names
-            if prev_nf is not None and prev_nf != cfg.respect_nofollow:
-                raise ValueError(
-                    f"resume: out_dir was crawled with respect_nofollow="
-                    f"{prev_nf}; this run sets {cfg.respect_nofollow}. "
-                    "Mixed per-round schemas in one out_dir are not "
-                    "readable — resume with the original flag or start a "
-                    "fresh out_dir."
-                )
-            start_round = last + 1
-            next_seq = man["next_seq"]
-            stats["rounds"] = start_round
-            stats["resumed_from_round"] = last
+    if man is not None:
+        last = done[-1]
+        start_round = last + 1
+        next_seq = man["next_seq"]
+        stats["rounds"] = start_round
+        stats["resumed_from_round"] = last
 
-            # fast path: restore the last complete round's seen-shard
-            # snapshots — O(seen set), not O(crawl history) (VERDICT r2
-            # item 2).  Only when the snapshot's (mode, shard count) match
-            # this run's config: shard routing is hash % num_shards, so a
-            # different count would scatter keys to the wrong actors.
-            seen_dir = os.path.join(_round_dir(out_dir, last), "seen")
-            meta_path = os.path.join(seen_dir, "meta.json")
-            snap_ok = False
-            if os.path.exists(meta_path):
-                with open(meta_path) as f:
-                    smeta = json.load(f)
-                snap_ok = (
-                    smeta.get("mode") == cfg.seen_mode
-                    and smeta.get("shards") == cfg.seen_shards
-                    and all(
-                        os.path.exists(os.path.join(seen_dir, f"shard={i}.parquet"))
-                        for i in range(cfg.seen_shards)
+        # fast path: restore the last complete round's seen-shard
+        # snapshots — O(seen set), not O(crawl history) (VERDICT r2
+        # item 2).  Only when the snapshot's (mode, shard count) match
+        # this run's config: shard routing is hash % num_shards, so a
+        # different count would scatter keys to the wrong actors.
+        seen_dir = os.path.join(_round_dir(out_dir, last), "seen")
+        meta_path = os.path.join(seen_dir, "meta.json")
+        snap_ok = False
+        if os.path.exists(meta_path):
+            with open(meta_path) as f:
+                smeta = json.load(f)
+            snap_ok = (
+                smeta.get("mode") == cfg.seen_mode
+                and smeta.get("shards") == cfg.seen_shards
+                and all(
+                    os.path.exists(os.path.join(seen_dir, f"shard={i}.parquet"))
+                    for i in range(cfg.seen_shards)
+                )
+            )
+        if snap_ok:
+            ray.get(
+                [
+                    actors[i].load.remote(
+                        os.path.join(seen_dir, f"shard={i}.parquet")
                     )
-                )
-            if snap_ok:
-                ray.get(
-                    [
-                        actors[i].load.remote(
-                            os.path.join(seen_dir, f"shard={i}.parquet")
-                        )
-                        for i in range(cfg.seen_shards)
-                    ]
-                )
-                stats["seen_restore"] = "snapshot"
-                # per-round fetched counts come straight from the manifests
-                # (admitted_rows is the committed count, cutoff-adjusted)
-                total = 0
-                for r in done:
-                    with open(os.path.join(_round_dir(out_dir, r), "manifest.json")) as f:
-                        total += json.load(f).get("admitted_rows", 0)
-                stats["fetched"] = total
-            else:
-                stats["seen_restore"] = "rebuild"
-                # fallback: rebuild the seen set by re-committing fetched
-                # urls of all completed rounds (column-pruned reads;
-                # O(history))
-                commit = _commit_seen_batch(actors, cfg)
+                    for i in range(cfg.seen_shards)
+                ]
+            )
+            stats["seen_restore"] = "snapshot"
+            # per-round fetched counts come straight from the manifests
+            # (admitted_rows is the committed count, cutoff-adjusted)
+            total = 0
+            for r in done:
+                with open(os.path.join(_round_dir(out_dir, r), "manifest.json")) as f:
+                    total += json.load(f).get("admitted_rows", 0)
+            stats["fetched"] = total
+        else:
+            stats["seen_restore"] = "rebuild"
+            # fallback: rebuild the seen set by re-committing the fetched
+            # rows of all completed rounds (column-pruned reads; O(history))
+            commit = _commit_seen_batch(actors, cfg)
 
-                def _recommit(t: pa.Table) -> pa.Table:
-                    commit(t)
-                    return t
+            def _recommit(files: list[str], cut: int | None = None) -> int:
+                ds = ray.data.read_parquet(
+                    files, columns=["seq", "url", "key_hash", "action"]
+                ).filter(expr="action == 'fetched'")
+                if cut is not None:
+                    ds = ds.filter(expr=f"seq <= {cut}")
+                return ds.map_batches(commit, batch_format="pyarrow").count()
 
-                cutoffs = _round_cutoffs(out_dir)
-                # checkpoints written before the key_hash column existed lack
-                # it; probe each round's footer and fall back to url-only
-                # there — _commit_seen_batch re-hashes when the column is
-                # absent (ADVICE r2).  Rounds are split by schema so one read
-                # never mixes them.
-                files: dict[bool, list[str]] = {True: [], False: []}
-                cut_parts: list[tuple[list[str], int, bool]] = []  # (files, cutoff, has_kh)
-                for r in done:
-                    p = os.path.join(_round_dir(out_dir, r), "parsed")
-                    if not os.path.isdir(p):
-                        continue
-                    fl = [
-                        os.path.join(p, f) for f in sorted(os.listdir(p)) if f.endswith(".parquet")
-                    ]
-                    if not fl:
-                        continue
-                    has_kh = "key_hash" in pq.ParquetFile(fl[0]).schema_arrow.names
-                    if r in cutoffs:
-                        cut_parts.append((fl, cutoffs[r], has_kh))
-                    else:
-                        files[has_kh].extend(fl)
-                total = 0
-                for has_kh, fl in files.items():
-                    if not fl:
-                        continue
-                    cols = ["url", "action"] + (["key_hash"] if has_kh else [])
-                    total += (
-                        ray.data.read_parquet(fl, columns=cols)
-                        .filter(expr="action == 'fetched'")
-                        .map_batches(_recommit, batch_format="pyarrow")
-                        .count()
-                    )
-                for fl, cut, has_kh in cut_parts:  # at most one: a cutoff ends the crawl
-                    cols = ["url", "action", "seq"] + (["key_hash"] if has_kh else [])
-                    total += (
-                        ray.data.read_parquet(fl, columns=cols)
-                        .filter(expr="action == 'fetched'")
-                        .filter(expr=f"seq <= {cut}")
-                        .map_batches(_recommit, batch_format="pyarrow")
-                        .count()
-                    )
-                stats["fetched"] = total
-            last_dir = _round_dir(out_dir, last)
-            fpath = os.path.join(last_dir, "frontier_next")
-            if start_round >= cfg.max_rounds or man.get("seq_cutoff") is not None:
-                frontier_rows = 0  # nothing left to run
-            elif "first_child_seq" in man:
-                # the frontier the next round would have read, rebuilt from
-                # the last round's parsed checkpoint + deferred rows
-                kids = _kids_source(last_dir, _opic).materialize()
-                deferred_rows = man["deferred_rows"]
-                frontier_ds, frontier_rows, acc = _next_frontier(
-                    kids,
-                    kids.count(),
-                    ray.data.read_parquet(os.path.join(last_dir, "deferred"))
-                    if deferred_rows else None,
-                    deferred_rows,
-                    man["first_child_seq"],
-                    cfg,
-                )
-                next_seq = man["first_child_seq"] + acc
-                stats["frontier_total"] += acc
-            elif man.get("next_frontier_rows", 0) > 0 and os.path.isdir(fpath):
-                # an out_dir written before rounds stopped writing
-                # frontier_next: re-bound + materialize it like the seed
-                # frontier — the file's block count reflects the PREVIOUS
-                # run's cluster, and the control-table rule is block count =
-                # this cluster's map parallelism for the whole first resumed
-                # round
-                frontier_ds = (
-                    ray.data.read_parquet(fpath).repartition(nparts0).materialize()
-                )
-                frontier_rows = man["next_frontier_rows"]
-            else:
-                frontier_rows = 0
+            rounds = [(fl, cut) for r, fl, cut in _parsed_rounds(out_dir) if r in done]
+            plain = [f for fl, cut in rounds if cut is None for f in fl]
+            # at most one cut round: a cutoff ends the crawl
+            stats["fetched"] = (_recommit(plain) if plain else 0) + sum(
+                _recommit(fl, cut) for fl, cut in rounds if cut is not None
+            )
+        last_dir = _round_dir(out_dir, last)
+        if start_round >= cfg.max_rounds or man.get("seq_cutoff") is not None:
+            frontier_rows = 0  # nothing left to run
+        else:
+            # the frontier the next round would have read, rebuilt from the
+            # last round's parsed checkpoint + deferred rows
+            kids = _kids_source(last_dir, _opic).materialize()
+            deferred_rows = man["deferred_rows"]
+            frontier_ds, frontier_rows, acc = _next_frontier(
+                kids,
+                kids.count(),
+                ray.data.read_parquet(os.path.join(last_dir, "deferred"))
+                if deferred_rows else None,
+                deferred_rows,
+                man["first_child_seq"],
+                cfg,
+            )
+            next_seq = man["first_child_seq"] + acc
+            stats["frontier_total"] += acc
 
     try:
         for rnd in range(start_round, cfg.max_rounds):
@@ -1209,35 +1111,12 @@ def run_crawl(
             prepared = frontier_ds.map_batches(
                 _prepare_batch(cfg, nparts0), batch_format="pyarrow"
             ).map_batches(_seen_test_batch(actors, cfg), batch_format="pyarrow")
-            if cfg.admission_mode == "skew":
-                # skew-aware path (north rule: hot domains must not become
-                # one straggler group): global first-wins dedup on a coarse
-                # seen_key hash, then a per-batch local top-quota prefilter
-                # labels everything beyond the quota 'deferred' WITHOUT
-                # shuffling it by host — only <= quota x num_batches
-                # candidate rows per host reach the per-host quota group.
-                base = (
-                    coarse_groupby(prepared, "seen_key", _dedup_group(), 512, "pandas")
-                    .map_batches(_local_quota_batch(cfg), batch_format="pandas")
-                    .materialize()
-                )
-                cand_part = (
-                    base.filter(expr="cand == 1")
-                    .groupby("hg")
-                    .map_groups(_admission_group(cfg), batch_format="pandas")
-                )
-                admission = (
-                    cand_part.union(base.filter(expr="cand == 0"))
-                    .map_batches(_robots_gate_batch(actors, cfg), batch_format="pyarrow")
-                    .materialize()
-                )
-            else:
-                admission = (
-                    prepared.groupby("hg")
-                    .map_groups(_admission_group(cfg), batch_format="pandas")
-                    .map_batches(_robots_gate_batch(actors, cfg), batch_format="pyarrow")
-                    .materialize()
-                )
+            admission = (
+                prepared.groupby("hg")
+                .map_groups(_admission_group(cfg), batch_format="pandas")
+                .map_batches(_robots_gate_batch(actors, cfg), batch_format="pyarrow")
+                .materialize()
+            )
             _phase("admission")
 
             admitted = admission.filter(expr="action == 'admitted'")
@@ -1337,18 +1216,12 @@ def run_crawl(
             # The seen commit (AFTER parse success, crawler.go:178) rides this
             # materialize as a pass-through map — idempotent on the shard, so
             # a retried task is harmless.
-            _commit = _commit_seen_batch(actors, cfg)
-
-            def _commit_passthrough(t: pa.Table) -> pa.Table:
-                _commit(t)
-                return t
-
             kids_src = _kids_source(rdir, _opic)
             if seq_cutoff is not None:
                 kids_src = kids_src.filter(expr=f"seq <= {seq_cutoff}")
             if parsed_exists:
                 kids_src = kids_src.map_batches(
-                    _commit_passthrough, batch_format="pyarrow"
+                    _commit_seen_batch(actors, cfg), batch_format="pyarrow"
                 ).materialize()
             committed = kids_src.count()
             stats["fetched"] += int(committed)

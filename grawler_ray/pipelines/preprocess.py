@@ -218,7 +218,6 @@ def prep_corpus(
     collect_timings: dict | None = None,
     driver_max_drop_ids: int = 2_000_000,
     checkpoint_dir: str | None = None,
-    minhash_verify: str = "join",
 ):
     """Run the full prep chain; see module docstring.  ``docs_ds`` needs
     (doc_id, text).  Returns the summary Dataset; when ``out_dir`` is set,
@@ -387,14 +386,7 @@ def prep_corpus(
     # dup-component members — again the small side, broadcast-filtered)
     ck = _ckpt_load("near_dedup")
     if ck is None:
-        # verify="join" is the flagship default: the local-verify band
-        # shuffle ships num_bands x shingle-blob bytes per doc (~90 KB/doc
-        # at 16 bands on web pages — it filled this sandbox's disk at 900k
-        # docs), while the join plan ships ~20 B/doc/band for candidates
-        # and moves each candidate's blob once per pair side.
-        pairs = minhash_dedup(
-            docs, threshold=minhash_threshold, verify=minhash_verify
-        )
+        pairs = minhash_dedup(docs, threshold=minhash_threshold)
         comps = dedup_components(docs, pairs)
 
         def drop_only(df: pd.DataFrame) -> pd.DataFrame:

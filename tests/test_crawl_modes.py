@@ -156,32 +156,32 @@ def test_resume_after_mid_round_crash(ray_session, corpus_fixture):
     assert not words.duplicated(["parent_url", "word"]).any()
 
 
-def test_distributed_child_offsets(ray_session, corpus_fixture):
-    """offsets_driver_max=0 forces the distributed prefix-sum + repartition
+def test_distributed_child_offsets(ray_session, corpus_fixture, monkeypatch):
+    """_OFFSETS_DRIVER_MAX=0 forces the distributed prefix-sum + repartition
     join for child-seq assignment; seq numbering is the invariant, so full
     trace equality against the oracle proves it exact."""
+    from grawler_ray.pipelines import crawl
+
+    monkeypatch.setattr(crawl, "_OFFSETS_DRIVER_MAX", 0)
     out = "/tmp/gr_modes_distoff"
     seeds = seed_urls(N_HOSTS, 3)
-    stats, oracle = _run_both(
-        ray_session, corpus_fixture, out, seeds, offsets_driver_max=0
-    )
+    stats, oracle = _run_both(ray_session, corpus_fixture, out, seeds)
     assert stats["fetched"] == len(oracle.documents) > 0
     _assert_conformance(out, oracle)
 
 
-def test_skew_admission_mode(ray_session, corpus_fixture):
-    """admission_mode='skew' (hot-host-safe dedup + local top-quota
-    prefilter) must produce the exact same trace as the grouped path —
-    the standard fixture exercises dup-drop, deferred AND quota churn."""
+def test_hot_host_burst_admission(ray_session, corpus_fixture):
+    """A duplicate seed plus a burst of one host's pages: the admission
+    group's first-wins dedup and per-host quota must give the oracle's
+    exact trace — the fixture exercises dup-drop, deferred AND quota
+    churn."""
     out = "/tmp/gr_modes_skew"
     # duplicate seeds + a burst of one host's pages: dedup + hot-host quota
     seeds = seed_urls(N_HOSTS, 3)
     from grawler_ray.sources.corpus import page_url
 
     seeds = seeds + [seeds[0]] + [page_url(0, p) for p in range(8)]
-    stats, oracle = _run_both(
-        ray_session, corpus_fixture, out, seeds, admission_mode="skew"
-    )
+    stats, oracle = _run_both(ray_session, corpus_fixture, out, seeds)
     acts = {t["action"] for t in oracle.trace}
     assert {"dup-drop", "deferred"} <= acts
     _assert_conformance(out, oracle)
@@ -233,6 +233,77 @@ def test_blocked_paths_and_schemes_config(ray_session, corpus_fixture):
     assert not (blocked.action == "fetched").any()
 
 
+def test_state_actor_routing(ray_session):
+    """The three per-shard routers send each row to one state actor, once,
+    in row order: the robots gate by xxhash64(host) % shards (the split
+    run_crawl's initial robots cache uses), the seen test by the prepared
+    ``shard`` column and the seen commit by key_hash % shards."""
+    from types import SimpleNamespace
+
+    import numpy as np
+    import ray
+
+    from grawler_ray.pipelines.crawl import (
+        _commit_seen_batch, _robots_gate_batch, _seen_test_batch,
+    )
+    from grawler_ray.urlops import xxhash64
+
+    nsh = 3
+    calls = []
+
+    def method(i, name):
+        def remote(*args):
+            calls.append((i, name, args))
+            return ray.put([i == 0] * len(args[0]))
+
+        return SimpleNamespace(remote=remote)
+
+    actors = [
+        SimpleNamespace(**{m: method(i, m) for m in ("gate_many", "test_batch", "commit_batch")})
+        for i in range(nsh)
+    ]
+    hosts = [f"h{i % 7}.test" for i in range(40)]
+    urls = [f"https://{h}/p{i}" for i, h in enumerate(hosts)]
+    hashes = np.array([xxhash64(u) for u in urls], np.uint64)
+    actions = ["robots-wait", "pending", "dup-drop", "robots-wait"] * 10
+    t = pa.table({
+        "url": urls, "host": hosts, "base_url": [f"https://{h}" for h in hosts],
+        "seen_key": urls, "key_hash": pa.array(hashes, pa.uint64()),
+        "shard": pa.array((hashes % np.uint64(nsh)).astype(np.int32)),
+        "action": actions,
+    })
+    cfg = CrawlConfig(seen_shards=nsh)
+
+    def routed(name, col):
+        got = [(i, v) for i, n, args in calls if n == name for v in args[col]]
+        calls.clear()
+        return got
+
+    out = _robots_gate_batch(actors, cfg)(t).column("action").to_pylist()
+    wait = [i for i, a in enumerate(actions) if a == "robots-wait"]
+    want = sorted(((xxhash64(hosts[i]) % nsh, urls[i]) for i in wait))
+    assert sorted(routed("gate_many", 2)) == want
+    assert [out[i] for i in wait] == [
+        "admitted" if xxhash64(hosts[i]) % nsh == 0 else "robots-drop" for i in wait
+    ]
+
+    _seen_test_batch(actors, cfg)(t)
+    pend = [i for i, a in enumerate(actions) if a == "pending"]
+    assert sorted(routed("test_batch", 0)) == sorted(
+        (int(hashes[i] % np.uint64(nsh)), urls[i]) for i in pend
+    )
+
+    _commit_seen_batch(actors, cfg)(t.select(["url", "key_hash"]))
+    got = routed("commit_batch", 0)
+    assert sorted(got) == sorted(
+        (int(h % np.uint64(nsh)), u) for u, h in zip(urls, hashes)
+    )
+    # one call per shard, rows in row order within it
+    assert [u for _i, u in sorted(got, key=lambda x: x[0])] == [
+        u for sh in range(nsh) for u, h in zip(urls, hashes) if h % np.uint64(nsh) == sh
+    ]
+
+
 def test_distributed_children_many_blocks(ray_session):
     """_distributed_children vs the driver prefix-sum on a many-block input:
     identical (seq, url, parent) triples, consecutive child seqs in
@@ -273,9 +344,10 @@ def test_distributed_children_many_blocks(ray_session):
 
 
 def test_skew_plus_canonicalize(ray_session, corpus_fixture):
-    """Mode combination: skew admission with canonicalized seen keys —
-    dedup groups key on the canonical form, candidates group on the
-    canonical host; trace must still match the oracle exactly."""
+    """A skewed seed list (one host's burst, seeds that differ only by
+    fragment or host case) with canonicalized seen keys — dedup keys on
+    the canonical form, politeness groups on the canonical host; trace
+    must still match the oracle exactly."""
     out = "/tmp/gr_modes_skewcanon"
     base = seed_urls(N_HOSTS, 3)
     from grawler_ray.sources.corpus import page_url
@@ -284,8 +356,7 @@ def test_skew_plus_canonicalize(ray_session, corpus_fixture):
         page_url(1, p) for p in range(6)
     ]
     stats, oracle = _run_both(
-        ray_session, corpus_fixture, out, seeds,
-        admission_mode="skew", canonicalize_seen=True,
+        ray_session, corpus_fixture, out, seeds, canonicalize_seen=True
     )
     assert "dup-drop" in {t["action"] for t in oracle.trace}
     _assert_conformance(out, oracle)
@@ -479,7 +550,7 @@ def test_strip_boilerplate_mode(ray_session, tmp_path):
     )
 
 
-def test_opic_mode(ray_session, corpus_fixture):
+def test_opic_mode(ray_session, corpus_fixture, monkeypatch):
     """frontier_order='opic': full conformance to the serial OPIC oracle
     (documents, words, FULL trace) on the standard corpus, both explode
     paths."""
@@ -491,10 +562,12 @@ def test_opic_mode(ray_session, corpus_fixture):
     _assert_conformance(out, oracle)
     assert stats["fetched"] > 0
     # distributed-offsets explode path must carry cash identically
+    from grawler_ray.pipelines import crawl
+
+    monkeypatch.setattr(crawl, "_OFFSETS_DRIVER_MAX", 0)
     out2 = "/tmp/gr_modes_opic_dist"
     stats2, oracle2 = _run_both(
-        ray_session, corpus_fixture, out2, seeds,
-        frontier_order="opic", offsets_driver_max=0,
+        ray_session, corpus_fixture, out2, seeds, frontier_order="opic"
     )
     _assert_conformance(out2, oracle2)
     assert stats2["fetched"] == stats["fetched"]
@@ -592,7 +665,6 @@ def test_opic_invalid_combos(ray_session):
 
     for kw in (
         dict(max_urls=5),
-        dict(admission_mode="skew"),
         dict(fetch_mode="http"),
     ):
         cfg = CrawlConfig(out_dir="/tmp/gr_opic_bad", frontier_order="opic", **kw)

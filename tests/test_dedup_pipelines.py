@@ -66,18 +66,14 @@ def test_minhash_dedup_finds_planted_pairs(docs_ds):
 
 
 def test_minhash_verify_modes_agree(docs_ds):
+    """driver_max_members=0 forces the full-corpus (materialized-sides)
+    join fallback; it must agree with the member-filter fast path."""
     from grawler_ray.functions.dedup import minhash_dedup
 
-    loc = minhash_dedup(docs_ds, threshold=0.5).to_pandas()
-    jn = minhash_dedup(docs_ds, threshold=0.5, verify="join").to_pandas()
-    sl = {(a, b): round(j, 12) for a, b, j in zip(loc.a, loc.b, loc.jaccard)}
+    jn = minhash_dedup(docs_ds, threshold=0.5).to_pandas()
     sj = {(a, b): round(j, 12) for a, b, j in zip(jn.a, jn.b, jn.jaccard)}
-    assert sl == sj and len(sl) > 0
-    # driver_max_members=0 forces the full-corpus (materialized-sides)
-    # join fallback; must agree with the member-filter fast path
-    fb = minhash_dedup(
-        docs_ds, threshold=0.5, verify="join", driver_max_members=0
-    ).to_pandas()
+    assert len(sj) > 0
+    fb = minhash_dedup(docs_ds, threshold=0.5, driver_max_members=0).to_pandas()
     sf = {(a, b): round(j, 12) for a, b, j in zip(fb.a, fb.b, fb.jaccard)}
     assert sf == sj
 
@@ -136,7 +132,7 @@ def test_minhash_join_one_row_per_pair(docs_ds):
     got = {}
     for guard in (2_000_000, 2 * n_uniq, 0):
         rows = _pair_rows(
-            minhash_dedup(docs_ds, threshold=0.5, verify="join", driver_max_members=guard)
+            minhash_dedup(docs_ds, threshold=0.5, driver_max_members=guard)
         )
         assert len({(a, b) for a, b, _ in rows}) == len(rows), guard
         assert (100, 102, 1.0) in rows

@@ -166,10 +166,10 @@ def test_resume_rejects_toggled_respect_nofollow(setup, tmp_path):
 def test_final_round_checkpoints_deferred_not_frontier(setup):
     """Rounds checkpoint their deferred rows + first child seq; the last
     round of a call builds no next frontier.  Resume rebuilds that frontier
-    from the checkpoints — and an out_dir from before this layout (a
-    frontier_next file, no first_child_seq) still resumes from its file.
-    Both equal the uninterrupted run, trace included (children seqs are
-    numbered identically)."""
+    from the checkpoints and equals the uninterrupted run, trace included
+    (children seqs are numbered identically).  An out_dir from before this
+    layout (a frontier_next file, no first_child_seq) is refused with a
+    ValueError before any round is written."""
     import json
     import os
 
@@ -201,7 +201,7 @@ def test_final_round_checkpoints_deferred_not_frontier(setup):
     for a, b in zip(mans, mans[1:]):
         assert b["first_child_seq"] == a["first_child_seq"] + a["children_rows"]
 
-    # legacy layout: the frontier the uninterrupted run's round 3 read (its
+    # old layout: the frontier the uninterrupted run's round 3 read (its
     # trace rows), as a frontier_next file in a manifest without
     # first_child_seq
     shutil.copytree(out, legacy)
@@ -227,10 +227,15 @@ def test_final_round_checkpoints_deferred_not_frontier(setup):
     full_trace = (
         read_trace(OUT_FULL).to_pandas().sort_values(["round", "seq"]).reset_index(drop=True)
     )
-    for d in (out, legacy):
-        s2 = run_crawl(CORPUS, seeds, _cfg(d, 7), robots_cache_path=ROBOTS, resume=True)
-        assert s2.get("resumed_from_round") == 2
-        docs = read_documents(d).to_pandas().sort_values("url").reset_index(drop=True)
-        pd.testing.assert_frame_equal(full_docs, docs)
-        trace = read_trace(d).to_pandas().sort_values(["round", "seq"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(full_trace, trace)
+    s2 = run_crawl(CORPUS, seeds, _cfg(out, 7), robots_cache_path=ROBOTS, resume=True)
+    assert s2.get("resumed_from_round") == 2
+    docs = read_documents(out).to_pandas().sort_values("url").reset_index(drop=True)
+    pd.testing.assert_frame_equal(full_docs, docs)
+    trace = read_trace(out).to_pandas().sort_values(["round", "seq"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(full_trace, trace)
+
+    before = sorted(os.listdir(legacy))
+    with pytest.raises(ValueError, match="first_child_seq"):
+        run_crawl(CORPUS, seeds, _cfg(legacy, 7), robots_cache_path=ROBOTS, resume=True)
+    assert sorted(os.listdir(legacy)) == before
+    assert not os.path.exists(os.path.join(legacy, "round=0003"))
