@@ -1860,8 +1860,8 @@ _BCAST_MAX_ROWS = 5_000_000
 def _orders_by_nation(sf_dir: str, broadcast_max_rows: int = _BCAST_MAX_ROWS):
     """orders x customer x nation.  customer <= ``broadcast_max_rows``:
     BROADCAST the dimension side (ray.put once, dict lookup per batch — no
-    shuffle; SURVEY §2.4 J2).  Larger: repartition join (union both sides,
-    coarse custkey-hash groupby, run-scan attach) — the documented pattern
+    shuffle; SURVEY §2.4 J2).  Larger: repartition join (one coarse
+    custkey-hash ``coarse_cogroup``, searchsorted attach) — the documented pattern
     this engine uses instead of Ray 2.49's Acero Dataset.join.  nation (25
     rows) is always broadcast.  Both paths produce identical results
     (tests/test_functions.py cross-checks them)."""
@@ -1892,69 +1892,56 @@ def _orders_by_nation(sf_dir: str, broadcast_max_rows: int = _BCAST_MAX_ROWS):
 
         joined = _read(sf_dir, "orders").map_batches(join_batch, batch_format="pyarrow")
     else:
-        # repartition join: side 0 = customer (carries nationkey), side 1 =
+        # repartition join: leg 0 = customer (carries nationkey), leg 1 =
         # orders (carries price); coarse custkey-hash groups, vectorized
-        # run-scan inside (CLAUDE.md join pattern)
+        # match inside (CLAUDE.md join pattern)
+        from grawler_ray.shuffle import LEG, coarse_cogroup, key_index
+
         num_groups = 256
         nref = ray.put(n2name)
 
         def cust_rows(t: pa.Table) -> pa.Table:
-            ck = t.column("c_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
             return pa.table(
                 {
-                    "ck": pa.array(ck, pa.int64()),
-                    "side": pa.array(np.zeros(len(ck), dtype=np.int8), pa.int8()),
+                    "ck": t.column("c_custkey").cast(pa.int64()),
                     "nk": t.column("c_nationkey").cast(pa.int64()),
-                    "price_cents": pa.array(np.zeros(len(ck), dtype=np.int64), pa.int64()),
                 }
             )
 
         def order_rows(t: pa.Table) -> pa.Table:
-            ck = t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
             price = np.floor(
                 t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
             ).astype(np.int64)
             return pa.table(
                 {
-                    "ck": pa.array(ck, pa.int64()),
-                    "side": pa.array(np.ones(len(ck), dtype=np.int8), pa.int8()),
-                    "nk": pa.array(np.full(len(ck), -1, dtype=np.int64), pa.int64()),
+                    "ck": t.column("o_custkey").cast(pa.int64()),
                     "price_cents": pa.array(price, pa.int64()),
                 }
             )
 
-        def attach(df: pd.DataFrame) -> pa.Table:
-            df = df.sort_values(["ck", "side"])  # customer row first in its run
-            ck = df["ck"].to_numpy()
-            nk = df["nk"].to_numpy()
-            price = df["price_cents"].to_numpy()
-            side = df["side"].to_numpy()
-            is_start = np.concatenate(([True], np.diff(ck) != 0))
-            start_idx = np.maximum.accumulate(np.where(is_start, np.arange(len(df)), 0))
-            run_nk = nk[start_idx]
-            keep = (side == 1) & (run_nk >= 0)  # orders whose customer exists
-            n2name_ = ray.get(nref)
-            names = pd.Series(run_nk[keep]).map(n2name_)
+        def attach(t: pa.Table) -> pa.Table:
+            cust = t.column(LEG).to_numpy() == 0
+            ck = t.column("ck").to_numpy()
+            pos, hit = key_index(ck[cust], ck[~cust])
+            nk = t.filter(pa.array(cust)).column("nk").to_numpy()[pos[hit]]
+            price = t.filter(pa.array(~cust)).column("price_cents").to_numpy()[hit]
+            names = pd.Series(nk).map(ray.get(nref))  # orders whose customer exists
             return pa.table(
                 {
                     "nation": pa.array(names.tolist(), pa.string()),
-                    "price_cents": pa.array(price[keep], pa.int64()),
+                    "price_cents": pa.array(price, pa.int64()),
                 }
             )
 
-        from grawler_ray.shuffle import coarse_groupby
-
-        both = (
+        legs = [
             _read(sf_dir, "customer")
             .select_columns(["c_custkey", "c_nationkey"])
-            .map_batches(cust_rows, batch_format="pyarrow")
-            .union(
-                _read(sf_dir, "orders")
-                .select_columns(["o_custkey", "o_totalprice"])
-                .map_batches(order_rows, batch_format="pyarrow")
-            )
-        )
-        joined = coarse_groupby(both, "ck", attach, num_groups, "pandas")
+            .map_batches(cust_rows, batch_format="pyarrow"),
+            _read(sf_dir, "orders")
+            .select_columns(["o_custkey", "o_totalprice"])
+            .map_batches(order_rows, batch_format="pyarrow"),
+        ]
+        joined = coarse_cogroup(legs, "ck", attach, num_groups)
 
     return joined.groupby("nation").aggregate(
         Count(alias_name="n_orders"), Sum("price_cents", alias_name="total_cents")

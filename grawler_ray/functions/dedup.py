@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..shuffle import coarse_group, coarse_groupby
+from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index
 from ..textops import _WORD_RE
 from ..urlops import xxhash64
 
@@ -456,79 +456,53 @@ def verify_pairs_join(
       with ``shingles_batch`` and emits one (pa, pb, side_did, sh, pg) row
       per pair side; a ``pg`` (pair-key hash) groupby verifies.  Text is
       never shuffled, and the blob moves once per pair side.
-    - Full corpus (above the guard): TWO exchanges.  Docs ∪ pair-side
-      requests are grouped by coarse doc-id group to attach each
-      candidate's blob to its pair sides, then the ``pg`` groupby
-      verifies.  Both union sides are materialized first (livelock note
-      in ``minhash_dedup``).
+    - Full corpus (above the guard): TWO exchanges.  Docs and pair-side
+      requests meet in one coarse doc-id ``coarse_cogroup`` that attaches
+      each candidate's blob to its pair sides, then the ``pg`` groupby
+      verifies.  Both legs are materialized first (livelock note in
+      ``minhash_dedup``).
     """
-    # repartition join 1: docs ∪ pair-side requests, grouped by doc id hash.
-    # Schema: (did, pa, pb, text); request rows carry text=None.
+    # full-corpus exchange 1: docs and pair-side requests cogrouped by doc id
     def requests(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy(zero_copy_only=False)
         b = t.column("b").to_numpy(zero_copy_only=False)
-        did = np.concatenate([a, b])
         return pa.table(
             {
-                "did": pa.array(did, pa.int64()),
+                "doc_id": pa.array(np.concatenate([a, b]), pa.int64()),
                 "pa": pa.array(np.concatenate([a, a]), pa.int64()),
                 "pb": pa.array(np.concatenate([b, b]), pa.int64()),
-                "text": pa.array([None] * len(did), pa.string()),
             }
         )
 
-    def doc_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
+    def attach_blobs(t: pa.Table) -> pa.Table:
+        # leg 0: docs (doc_id, text); leg 1: pair sides (doc_id, pa, pb).
+        # One shingle blob per requested doc (shingles_batch over the
+        # group's members), repeated onto each of its pair sides.
+        leg = t.column(LEG).to_numpy()
+        docs, req = t.filter(leg == 0), t.filter(leg == 1)
+        # a side whose doc is missing from the input is dropped
+        pos, ok = key_index(docs.column("doc_id").to_numpy(), req.column("doc_id").to_numpy())
+        used, inv = np.unique(pos[ok], return_inverse=True)
+        texts = docs.column("text").take(pa.array(used, pa.int64())).to_pylist()
+        blobs = shingles_batch([x or "" for x in texts], k)
+        req = req.filter(pa.array(ok))
+        pa_ = req.column("pa").to_numpy()
+        pb_ = req.column("pb").to_numpy()
         return pa.table(
             {
-                "did": t.column("doc_id"),
-                "pa": pa.array([-1] * n, pa.int64()),
-                "pb": pa.array([-1] * n, pa.int64()),
-                "text": t.column("text"),
-            }
-        )
-
-    def attach_blobs(df: pd.DataFrame) -> pd.DataFrame:
-        # group = all rows sharing hash(did) % num_partitions; run-scan dids
-        df = df.sort_values(["did", "pa"])  # doc row (pa=-1) first in its run
-        dids = df["did"].to_numpy()
-        pas = df["pa"].to_numpy()
-        pbs = df["pb"].to_numpy()
-        texts = df["text"].tolist()
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(dids) != 0) + 1, [len(df)]))
-        # batch the shingle/blob computation across the group's docs
-        # (shingles_batch, round 4)
-        blob_runs = [
-            (s, e)
-            for s, e in zip(starts[:-1], starts[1:])
-            if pas[s] == -1 and e - s >= 2
-        ]
-        blobs_arr = shingles_batch([texts[s] or "" for s, _ in blob_runs], k)
-        out = {"pa": [], "pb": [], "side_did": [], "sh": []}
-        for (s, e), sh in zip(blob_runs, blobs_arr):
-            blob = sh.tobytes()  # sorted-unique already
-            for i in range(s + 1, e):
-                out["pa"].append(int(pas[i]))
-                out["pb"].append(int(pbs[i]))
-                out["side_did"].append(int(dids[i]))
-                out["sh"].append(blob)
-        return pd.DataFrame(
-            {
-                "pa": pd.Series(out["pa"], dtype="int64"),
-                "pb": pd.Series(out["pb"], dtype="int64"),
-                "side_did": pd.Series(out["side_did"], dtype="int64"),
-                "sh": pd.Series(out["sh"], dtype="object"),
+                "pa": pa.array(pa_, pa.int64()),
+                "pb": pa.array(pb_, pa.int64()),
+                "side_did": req.column("doc_id"),
+                "sh": pa.array([b.tobytes() for b in blobs], pa.binary()).take(
+                    pa.array(inv.astype(np.int64), pa.int64())
+                ),
+                "pg": pair_group(pa_, pb_),
             }
         )
 
     def pair_group(pa_: np.ndarray, pb_: np.ndarray) -> pa.Array:
         g = ((pa_.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ pb_.astype(np.uint64)) % np.uint64(num_partitions * 16)
         return pa.array(g.astype(np.int64), pa.int64())
-
-    def pair_hash(t: pa.Table) -> pa.Table:
-        pa_ = t.column("pa").to_numpy(zero_copy_only=False)
-        pb_ = t.column("pb").to_numpy(zero_copy_only=False)
-        return t.append_column("pg", pair_group(pa_, pb_))
 
     def verify_group(df: pd.DataFrame) -> pd.DataFrame:
         # run-scan (pa, pb) pairs inside the coarse pair-hash group
@@ -623,13 +597,7 @@ def verify_pairs_join(
         # full-corpus join: pin both sides first (livelock note above)
         doc_side = doc_side.materialize()
         req_side = pairs.map_batches(requests, batch_format="pyarrow").materialize()
-        sides = coarse_groupby(
-            req_side.union(doc_side.map_batches(doc_rows, batch_format="pyarrow")),
-            "did",
-            attach_blobs,
-            num_partitions * 16,
-            "pandas",
-        ).map_batches(pair_hash, batch_format="pyarrow")
+        sides = coarse_cogroup([doc_side, req_side], "doc_id", attach_blobs, num_partitions * 16)
     return sides.groupby("pg").map_groups(verify_group, batch_format="pandas")
 
 
@@ -1418,18 +1386,12 @@ def dedup_components(
     diameters, so convergence is a handful of rounds.  The iteration runs
     over ACTIVE nodes only (edge endpoints — a node with no edges can never
     change label), so its width is ∝ dup pairs, never ∝ corpus; singleton
-    docs merge back in ONE final coarse-hash pass.  Each round is ONE
-    repartition-join shuffle (symmetric edges ∪ labels, coarse node-hash
-    groups, vectorized run-scan attach) + one (node, min label) aggregate;
-    labels only ever decrease, so the driver-side convergence check is one
-    scalar Sum aggregate per round (labels stay distributed throughout).
-
-    Block-type note: every stage here is pandas-format end to end.  Ray
-    2.49's sort-shuffle reducer asserts ONE block type per dataset, and the
-    hash-aggregate / empty shuffle partitions emit blocks whose type varies
-    with emptiness — mixing formats across the unions below trips
-    `BlockType.ARROW != BlockType.PANDAS` on sparse inputs, so the whole
-    subgraph commits to pandas blocks.
+    docs merge back in ONE final coarse-hash pass.  Each round is two
+    ``coarse_cogroup`` exchanges on the node: symmetric edges with labels
+    (each edge forwards its node's label to dst), then labels with those
+    messages (min label per node); labels only ever decrease, so the
+    driver-side convergence check is one scalar Sum aggregate per round
+    (labels stay distributed throughout).
 
     Returns a Dataset of (doc_id, component).
     """
@@ -1437,10 +1399,12 @@ def dedup_components(
     from ray.data.aggregate import Min, Sum
 
     def sym_edges(df: pd.DataFrame) -> pd.DataFrame:
+        # (doc_id, dst): the node column carries the docs' key name, so the
+        # exchanges below cogroup edges, labels and docs on one key
         a = df["a"].to_numpy().astype(np.int64)
         b = df["b"].to_numpy().astype(np.int64)
         return pd.DataFrame(
-            {"src": np.concatenate([a, b]), "dst": np.concatenate([b, a])}
+            {"doc_id": np.concatenate([a, b]), "dst": np.concatenate([b, a])}
         )
 
     edges = pairs_ds.map_batches(sym_edges, batch_format="pandas").materialize()
@@ -1477,7 +1441,7 @@ def dedup_components(
                 parent[x], x = r, parent[x]
             return r
 
-        for a, b in zip(ep["src"].to_numpy(), ep["dst"].to_numpy()):
+        for a, b in zip(ep["doc_id"].to_numpy(), ep["dst"].to_numpy()):
             ra, rb = find(int(a)), find(int(b))
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
@@ -1496,78 +1460,43 @@ def dedup_components(
             attach, batch_format="pandas"
         )
 
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        # batch_size=None identity: converts EVERY block (aggregate output,
-        # empty partitions included) to a pandas block
-        return df
-
-    def init_active(df: pd.DataFrame) -> pd.DataFrame:
-        src = df["src"].to_numpy().astype(np.int64)
-        return pd.DataFrame({"node": src, "label": src})
-
     labels = (
-        edges.map_batches(init_active, batch_format="pandas")
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .map_batches(norm, batch_size=None, batch_format="pandas")
+        edges.select_columns(["doc_id"])
+        .groupby("doc_id")
+        .aggregate(Min("doc_id", alias_name="label"))
         .materialize()
     )
 
-    def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": df["src"].to_numpy().astype(np.int64),
-                "dst": df["dst"].to_numpy().astype(np.int64),
-                "label": np.full(len(df), -1, dtype=np.int64),
-            }
-        )
+    def propagate(t: pa.Table) -> pa.Table:
+        # leg 0: edges (doc_id, dst); leg 1: labels (doc_id, label).  Each
+        # edge forwards its node's current label to dst.
+        leg = t.column(LEG).to_numpy()
+        edge, lab = t.filter(leg == 0), t.filter(leg == 1)
+        pos, ok = key_index(lab.column("doc_id").to_numpy(), edge.column("doc_id").to_numpy())
+        return pa.table({
+            "doc_id": edge.column("dst").filter(pa.array(ok)),
+            "label": pa.array(lab.column("label").to_numpy()[pos[ok]], pa.int64()),
+        })
 
-    def label_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": df["node"].to_numpy().astype(np.int64),
-                "dst": np.full(len(df), -1, dtype=np.int64),
-                "label": df["label"].to_numpy().astype(np.int64),
-            }
-        )
-
-    def propagate(df: pd.DataFrame) -> pd.DataFrame:
-        # coarse group: run-scan nodes; label row (label >= 0, dst == -1)
-        # sorts FIRST in its run (dst ascending puts dst=-1 first)
-        if len(df) == 0:
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "label": pd.Series([], dtype="int64")})
-        df = df.sort_values(["node", "dst"])
-        nodes = df["node"].to_numpy()
-        dsts = df["dst"].to_numpy()
-        lbls = df["label"].to_numpy()
-        is_start = np.concatenate(([True], np.diff(nodes) != 0))
-        start_idx = np.maximum.accumulate(np.where(is_start, np.arange(len(df)), 0))
-        run_label = lbls[start_idx]  # the node's current label
-        ok = (dsts >= 0) & (run_label >= 0)
-        return pd.DataFrame({"node": dsts[ok], "label": run_label[ok]})
+    def min_label(t: pa.Table) -> pa.Table:
+        # labels and messages: the smallest label per node
+        node = t.column("doc_id").to_numpy()
+        label = t.column("label").to_numpy()
+        order = np.lexsort((label, node))
+        node, label = node[order], label[order]
+        first = np.concatenate(([True], node[1:] != node[:-1]))
+        return pa.table({"doc_id": node[first], "label": label[first]})
 
     prev_sum = None
     for _ in range(max_iters):
-        # messages: each edge forwards its src's current label to dst
-        msgs = coarse_groupby(
-            edges.map_batches(edge_rows, batch_format="pandas").union(
-                labels.map_batches(label_rows, batch_format="pandas")
-            ),
-            "node",
-            propagate,
-            num_groups,
-            "pandas",
-        )
-        # repartition re-bounds the label table's block count: the union +
-        # aggregate chain otherwise compounds blocks per round (shuffle
-        # output partitions track input blocks), turning k rounds into
-        # 2^k per-block fixed cost — measured on pagerank's identical loop
+        # materialized: the label merge reads the messages' schema
+        msgs = coarse_cogroup([edges, labels], "doc_id", propagate, num_groups).materialize()
+        # repartition re-bounds the label table's block count: the merge
+        # chain otherwise compounds blocks per round (shuffle output
+        # partitions track input blocks), turning k rounds into 2^k
+        # per-block fixed cost — measured on pagerank's identical loop
         labels = (
-            labels.union(msgs)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .map_batches(norm, batch_size=None, batch_format="pandas")
+            coarse_cogroup([labels, msgs], "doc_id", min_label, num_groups)
             .repartition(num_groups)
             .materialize()
         )
@@ -1576,41 +1505,19 @@ def dedup_components(
             break
         prev_sum = cur
 
-    # final merge: active labels override the self-labels (one coarse
-    # node-hash shuffle over docs — once, not once per iteration)
-    def doc_side(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {"node": ids, "src": np.zeros(len(ids), dtype=np.int8), "label": ids}
-        )
+    def pick(t: pa.Table) -> pa.Table:
+        # leg 0: docs (doc_id); leg 1: active labels (doc_id, label).  An
+        # active label overrides the self-label (one coarse node-hash
+        # exchange over the docs, once, not once per round).
+        node = t.column("doc_id").to_numpy()
+        label = pc.coalesce(t.column("label"), t.column("doc_id")).to_numpy()
+        order = np.lexsort((t.column(LEG).to_numpy(), node))  # active last
+        node, label = node[order], label[order]
+        last = np.concatenate((node[1:] != node[:-1], [True]))
+        return pa.table({"doc_id": node[last], "component": label[last]})
 
-    def active_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": df["node"].to_numpy().astype(np.int64),
-                "src": np.ones(len(df), dtype=np.int8),
-                "label": df["label"].to_numpy().astype(np.int64),
-            }
-        )
-
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "component": pd.Series([], dtype="int64")})
-        df = df.sort_values(["node", "src"])  # active (src=1) last in its run
-        nodes = df["node"].to_numpy()
-        lbls = df["label"].to_numpy()
-        ends = np.concatenate((np.flatnonzero(np.diff(nodes) != 0), [len(df) - 1]))
-        return pd.DataFrame({"doc_id": nodes[ends], "component": lbls[ends]})
-
-    return coarse_groupby(
-        docs_ds.select_columns(["doc_id"])
-        .map_batches(doc_side, batch_format="pandas")
-        .union(labels.map_batches(active_side, batch_format="pandas")),
-        "node",
-        pick,
-        num_groups,
-        "pandas",
+    return coarse_cogroup(
+        [docs_ds.select_columns(["doc_id"]), labels], "doc_id", pick, num_groups
     )
 
 
@@ -2364,55 +2271,28 @@ def snapshot_diff(ds_a, ds_b, key_col: str = "doc_id", payload_col: str = "text"
     only), 'changed' (both, payload md5 differs) or 'unchanged'.  The op a
     refresh crawl runs to decide what to re-process downstream.
 
-    Shape: each side maps to (key, md5(payload), side) — payloads never
-    move, 16-byte digests do — then ONE coarse key-hash shuffle (int64 or
-    string keys) classifies each group with vectorized run-scans.
+    Shape: each side maps to (key, md5(payload)) — payloads never move,
+    16-byte digests do — then ONE coarse key-hash ``coarse_cogroup`` (int64
+    or string keys; the leg index is the side) classifies each group with
+    vectorized run-scans.
     Assumption: keys are unique within each snapshot (crawl outputs are;
     feed read_documents(dedup='last') otherwise).
     """
     import hashlib as _hashlib
 
-    def digests(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            hs = [
-                _hashlib.md5((x or "").encode()).hexdigest()
-                for x in t.column(payload_col).to_pylist()
-            ]
-            return pa.table(
-                {
-                    key_col: t.column(key_col),
-                    "h": pa.array(hs, pa.string()),
-                    "side": pa.array(np.full(t.num_rows, side, np.int8), pa.int8()),
-                }
-            )
-
-        return fn
-
-    # pandas-block datasets report numpy dtypes here, not pa.DataType —
-    # normalize like joins._to_pa so string keys don't silently fall back
-    # to int64 and blow up the final cast (ADVICE r3)
-    def _to_pa(t):
-        if isinstance(t, pa.DataType):
-            return t
-        t = np.dtype(t)
-        return pa.string() if t == np.dtype("O") else pa.from_numpy_dtype(t)
-
-    key_type = pa.int64()
-    sch = ds_a.schema()
-    for n, typ in zip(sch.names, sch.types):
-        if n == key_col:
-            key_type = _to_pa(typ)
-    out_schema = pa.schema(
-        [pa.field(key_col, key_type), pa.field("change", pa.string())]
-    )
+    def digests(t: pa.Table) -> pa.Table:
+        hs = [
+            _hashlib.md5((x or "").encode()).hexdigest()
+            for x in t.column(payload_col).to_pylist()
+        ]
+        return pa.table({key_col: t.column(key_col), "h": pa.array(hs, pa.string())})
 
     def classify(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        df = t.select([key_col, "h", "side"]).to_pandas()
-        df = df.sort_values([key_col, "side"])
+        # leg 0: snapshot A (key, md5), leg 1: snapshot B
+        df = t.select([key_col, "h", LEG]).to_pandas()
+        df = df.sort_values([key_col, LEG])
         keys = df[key_col].to_numpy()
-        side = df["side"].to_numpy()
+        side = df[LEG].to_numpy()
         h = df["h"].to_numpy()
         n = len(df)
         is_start = np.concatenate(([True], keys[1:] != keys[:-1]))
@@ -2431,15 +2311,13 @@ def snapshot_diff(ds_a, ds_b, key_col: str = "doc_id", payload_col: str = "text"
         )
         return pa.table(
             {
-                key_col: pa.array(keys[starts]).cast(key_type),
+                key_col: pa.array(keys[starts]).cast(t.schema.field(key_col).type),
                 "change": pa.array(change.tolist(), pa.string()),
             }
         )
 
-    both = ds_a.map_batches(digests(0), batch_format="pyarrow").union(
-        ds_b.map_batches(digests(1), batch_format="pyarrow")
-    )
-    return coarse_groupby(both, key_col, classify, num_groups)
+    legs = [ds.map_batches(digests, batch_format="pyarrow") for ds in (ds_a, ds_b)]
+    return coarse_cogroup(legs, key_col, classify, num_groups)
 
 
 def snapshot_delta(ds_a, ds_b, key_col: str = "doc_id",
@@ -2522,33 +2400,8 @@ def change_rate(ds, key_col: str = "doc_id", payload_col: str = "text",
             }
         )
 
-    # int64 AND string keys both work (np.lexsort compares object arrays);
-    # resolve the output key type like snapshot_diff does for pandas blocks
-    def _to_pa(typ):
-        if isinstance(typ, pa.DataType):
-            return typ
-        typ = np.dtype(typ)
-        return pa.string() if typ == np.dtype("O") else pa.from_numpy_dtype(typ)
-
-    key_type = pa.int64()
-    sch = ds.schema()
-    for nm, typ in zip(sch.names, sch.types):
-        if nm == key_col:
-            key_type = _to_pa(typ)
-    out_schema = pa.schema(
-        [
-            pa.field(key_col, key_type),
-            pa.field("n_intervals", pa.int64()),
-            pa.field("n_changes", pa.int64()),
-            pa.field("change_ratio", pa.float64()),
-            pa.field("last_change_run", pa.int64()),
-            pa.field("stale_runs", pa.int64()),
-        ]
-    )
-
     def estimate(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
+        # int64 AND string keys both work (np.lexsort compares object arrays)
         keys = t.column(key_col).to_numpy(zero_copy_only=False)
         runs = t.column(run_col).to_numpy(zero_copy_only=False)
         h = t.column("h").to_numpy(zero_copy_only=False)
@@ -2583,7 +2436,7 @@ def change_rate(ds, key_col: str = "doc_id", payload_col: str = "text",
         stale_runs = runs[last] - last_change_run
         return pa.table(
             {
-                key_col: pa.array(keys[starts]).cast(key_type),
+                key_col: pa.array(keys[starts]).cast(t.schema.field(key_col).type),
                 "n_intervals": pa.array(n_intervals, pa.int64()),
                 "n_changes": pa.array(n_changes, pa.int64()),
                 "change_ratio": pa.array(ratio, pa.float64()),
@@ -2897,36 +2750,11 @@ def cdc_delta_stats(ds_a, ds_b, payload_col: str = "text",
     exchange; per group a vectorized membership test (B lengths summed
     where hash ∈ A's hash set); final reduce is a tiny partial sum.
     """
-    def side_rows(side: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "h": t.column("chunk_hash"),
-                    "length": t.column("length"),
-                    "side": pa.array(
-                        np.full(t.num_rows, side, np.int8), pa.int8()
-                    ),
-                }
-            )
-
-        return f
-
-    chunks_a = cdc_chunks(ds_a, min_size, avg_size, max_size, payload_col)
-    chunks_b = cdc_chunks(ds_b, min_size, avg_size, max_size, payload_col)
-    both = chunks_a.map_batches(side_rows(0), batch_format="pyarrow").union(
-        chunks_b.map_batches(side_rows(1), batch_format="pyarrow")
-    )
-
-    part_schema = pa.schema(
-        [pa.field("total_b", pa.int64()), pa.field("reused_b", pa.int64())]
-    )
-
     def per_group(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
-        h = t.column("h").to_numpy(zero_copy_only=False)
-        ln = t.column("length").to_numpy(zero_copy_only=False)
-        side = t.column("side").to_numpy(zero_copy_only=False)
+        # leg 0: snapshot A's chunks, leg 1: snapshot B's
+        h = t.column("chunk_hash").to_numpy()
+        ln = t.column("length").to_numpy()
+        side = t.column(LEG).to_numpy()
         in_a = np.isin(h[side == 1], np.unique(h[side == 0]))
         lb = ln[side == 1]
         return pa.table(
@@ -2936,7 +2764,13 @@ def cdc_delta_stats(ds_a, ds_b, payload_col: str = "text",
             }
         )
 
-    parts = coarse_groupby(both, "h", per_group, num_groups)
+    legs = [
+        cdc_chunks(ds, min_size, avg_size, max_size, payload_col).select_columns(
+            ["chunk_hash", "length"]
+        )
+        for ds in (ds_a, ds_b)
+    ]
+    parts = coarse_cogroup(legs, "chunk_hash", per_group, num_groups)
     df = parts.to_pandas()  # ≤ num_groups rows — a fixed-size driver pull
     total = int(df["total_b"].sum())
     reused = int(df["reused_b"].sum())

@@ -39,7 +39,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..shuffle import coarse_group, coarse_groupby
+from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index
 
 
 def _wedge_pairs(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +169,9 @@ def triangle_count(
     the CANONICAL out-neighborhood — at web scale you'd orient by degree
     instead of id to tame hubs; the partitioning assumption is that one
     node's canonical neighbor list fits a group); the wedge–edge match is
-    the union + coarse-key-hash groupby repartition join, shipping 16 B per
-    wedge and never building a global adjacency.  Returns a 1-row Dataset
-    (n_triangles:int64)."""
+    a coarse-key-hash ``coarse_cogroup`` repartition join, shipping one
+    packed key per wedge and never building a global adjacency.  Returns a
+    1-row Dataset (n_triangles:int64)."""
     import ray.data
 
     a, b = pair_cols
@@ -238,8 +238,9 @@ def triangle_count(
         "pandas",
     )
 
-    # repartition join: wedge rows and edge rows union'd on the (x, y) key,
-    # matched inside each coarse key-hash group with one searchsorted
+    # repartition join: wedge keys and edge keys cogrouped on the packed
+    # (x, y) key, matched inside each coarse key-hash group with one
+    # searchsorted
     def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # collision-free key packing needs ids < 2^31; beyond that, switch
         # the match key to the raw (x, y) 2-column groupby (same pattern,
@@ -248,37 +249,29 @@ def triangle_count(
             raise OverflowError("triangle_count id packing needs node ids < 2^31")
         return x * np.int64(1 << 31) + y
 
-    def tag_wedge(df: pd.DataFrame) -> pd.DataFrame:
-        x, y = df["x"].to_numpy(np.int64), df["y"].to_numpy(np.int64)
-        key = _pack(x, y)
-        return pd.DataFrame(
-            {"kg": coarse_group(key, num_groups), "key": key,
-             "is_edge": np.zeros(len(df), np.int8)}
-        )
+    def packed(cx: str, cy: str):
+        def fn(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"key": _pack(df[cx].to_numpy(np.int64), df[cy].to_numpy(np.int64))})
 
-    def tag_edge_key(df: pd.DataFrame) -> pd.DataFrame:
-        x, y = df[a].to_numpy(np.int64), df[b].to_numpy(np.int64)
-        key = _pack(x, y)
-        return pd.DataFrame(
-            {"kg": coarse_group(key, num_groups), "key": key,
-             "is_edge": np.ones(len(df), np.int8)}
-        )
+        return fn
 
-    def match(df: pd.DataFrame) -> pd.DataFrame:
-        ise = df["is_edge"].to_numpy() == 1
-        ek = np.sort(df.loc[ise, "key"].to_numpy(np.int64))
-        wk = df.loc[~ise, "key"].to_numpy(np.int64)
-        if len(wk) == 0 or len(ek) == 0:
-            return pd.DataFrame({"n": np.array([0], np.int64)})
-        pos = np.searchsorted(ek, wk)
-        ok = (pos < len(ek)) & (ek[np.minimum(pos, len(ek) - 1)] == wk)
-        return pd.DataFrame({"n": np.array([int(ok.sum())], np.int64)})
+    def match(t: pa.Table) -> pa.Table:
+        # leg 0: wedge keys, leg 1: edge keys
+        leg = t.column(LEG).to_numpy()
+        key = t.column("key").to_numpy()
+        n = int(key_index(key[leg == 1], key[leg == 0])[1].sum())
+        return pa.table({"n": pa.array([n], pa.int64())})
 
-    matched = (
-        wedge_ds.map_batches(tag_wedge, batch_format="pandas")
-        .union(pairs_ds.map_batches(tag_edge_key, batch_format="pandas"))
-        .groupby("kg")
-        .map_groups(match, batch_format="pandas")
+    # wedges materialized: the cogroup reads each leg's schema, and a lazy
+    # wedge leg would run the wedge exchange once more to learn it
+    matched = coarse_cogroup(
+        [
+            wedge_ds.map_batches(packed("x", "y"), batch_format="pandas").materialize(),
+            pairs_ds.map_batches(packed(a, b), batch_format="pandas"),
+        ],
+        "key",
+        match,
+        num_groups,
     )
 
     def total(df: pd.DataFrame) -> pd.DataFrame:
@@ -1491,34 +1484,18 @@ def hits(
         avals = half(hvals, "s", "sg", "t")
         hvals = half(avals, "t", "tg", "s")
 
-    def tag_hub(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[["vg", "v", "r"]].copy()
-        out["is_hub"] = np.ones(len(df), np.int8)
-        return out
+    def merge_group(t: pa.Table) -> pa.Table:
+        # leg 0: hub values, leg 1: authority values — node-aligned copies
+        # of the same universe
+        leg = t.column(LEG).to_numpy()
+        v = t.column("v").to_numpy()
+        r = t.column("r").to_numpy()
+        hv, hr, av, ar = v[leg == 0], r[leg == 0], v[leg == 1], r[leg == 1]
+        ho, ao = np.argsort(hv), np.argsort(av)
+        return pa.table({node_col: hv[ho], "hub": hr[ho], "auth": ar[ao]})
 
-    def tag_auth(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[["vg", "v", "r"]].copy()
-        out["is_hub"] = np.zeros(len(df), np.int8)
-        return out
-
-    def merge_group(df: pd.DataFrame) -> pd.DataFrame:
-        hub_side = df.loc[df["is_hub"].to_numpy() == 1].sort_values("v")
-        auth_side = df.loc[df["is_hub"].to_numpy() == 0].sort_values("v")
-        # both sides are node-aligned copies of the same universe
-        return pd.DataFrame(
-            {
-                node_col: hub_side["v"].to_numpy(np.int64),
-                "hub": hub_side["r"].to_numpy(np.int64),
-                "auth": auth_side["r"].to_numpy(np.int64),
-            }
-        )
-
-    return (
-        hvals.map_batches(tag_hub, batch_format="pandas")
-        .union(avals.map_batches(tag_auth, batch_format="pandas"))
-        .groupby("vg")
-        .map_groups(merge_group, batch_format="pandas")
-    )
+    legs = [vals.select_columns(["v", "r"]) for vals in (hvals, avals)]
+    return coarse_cogroup(legs, "v", merge_group, num_groups)
 
 
 def resolve_chains(

@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..shuffle import coarse_group, coarse_group_tuple, coarse_groupby
+from ..shuffle import LEG, arrow_schema, coarse_cogroup, coarse_group, coarse_group_tuple, coarse_groupby
 
 US_PER_MINUTE = 60_000_000
 
@@ -255,13 +255,12 @@ def hash_anti_join(left_ds, right_ds, on_left: str, on_right: str, num_groups: i
 
     Ray 2.49's native ``Dataset.join`` is avoided for the documented Acero
     defects (empty hash partitions, list-column payloads, chained-join
-    deadlocks — see CLAUDE.md); this is the same union + coarse-key-hash
-    groupby "repartition join" the dedup/graph operators use: both sides
-    tagged and unioned (right side ships ONLY its 8-byte key column,
-    null-padded to the left schema so the union is one block type), ONE
-    shuffle on hash(key) % num_groups, and the in-group anti filter is a
-    vectorized ``np.isin``.  Left payload columns move through the shuffle
-    exactly once; output is the left schema.
+    deadlocks — see CLAUDE.md); this is the same coarse-key-hash
+    ``coarse_cogroup`` "repartition join" the dedup/graph operators use
+    (the right side ships ONLY its distinct key column, null-padded to the
+    left schema), ONE shuffle on hash(key) % num_groups, and the in-group
+    anti filter is a vectorized ``np.isin``.  Left payload columns move
+    through the shuffle exactly once; output is the left schema.
 
     Assumption (documented per the brief): join keys are int64 or string.
     """
@@ -285,58 +284,20 @@ def hash_semi_join(left_ds, right_ds, on_left: str, on_right: str, num_groups: i
 
 def _membership_join(left_ds, right_ds, on_left: str, on_right: str,
                      num_groups: int, semi: bool):
-    sch = left_ds.schema()
-
-    # pandas-block datasets report numpy dtypes; normalize to a pa.Schema
-    # (object dtype = string column in a pandas block)
-    def _to_pa(t):
-        if isinstance(t, pa.DataType):
-            return t
-        t = np.dtype(t)
-        return pa.string() if t == np.dtype("O") else pa.from_numpy_dtype(t)
-
-    left_schema = pa.schema(
-        [pa.field(n, _to_pa(t)) for n, t in zip(sch.names, sch.types)]
-    )
-    cols = list(left_schema.names)
-    assert on_left in cols, on_left
-    reserved = {"gk", "side"} & set(cols)
-    assert not reserved, f"input columns collide with internal names: {reserved}"
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        gk = coarse_group(t.column(on_left), num_groups)
-        t = t.select(cols)
-        t = t.append_column("gk", pa.array(gk, pa.int32()))
-        return t.append_column("side", pa.array(np.zeros(t.num_rows, np.int8), pa.int8()))
-
-    def tag_right(t: pa.Table) -> pa.Table:
+    def right_keys(t: pa.Table) -> pa.Table:
+        # right ships only its distinct keys, under the left key's name
         keys = np.unique(t.column(on_right).to_numpy(zero_copy_only=False))
-        arrays = []
-        for name in cols:
-            typ = left_schema.field(name).type
-            if name == on_left:
-                arrays.append(pa.array(keys).cast(typ))
-            else:
-                arrays.append(pa.nulls(len(keys), typ))
-        out = pa.table(dict(zip(cols, arrays)))
-        out = out.append_column("gk", pa.array(coarse_group(keys, num_groups), pa.int32()))
-        return out.append_column("side", pa.array(np.ones(len(keys), np.int8), pa.int8()))
+        return pa.table({on_left: pa.array(keys)})
 
     def membership(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse gk key
-        # space emit ARROW blocks (CLAUDE.md block-type rule)
-        if t.num_rows == 0:
-            return t.select(cols)
-        side = t.column("side").to_numpy(zero_copy_only=False)
+        # leg 0: left rows, leg 1: right keys
+        leg = t.column(LEG).to_numpy()
         keys = t.column(on_left).to_numpy(zero_copy_only=False)
-        right_keys = keys[side == 1]
-        keep = (side == 0) & (np.isin(keys, right_keys) == semi)
-        return t.filter(pa.array(keep)).select(cols)
+        keep = (leg == 0) & (np.isin(keys, keys[leg == 1]) == semi)
+        return t.filter(pa.array(keep)).drop_columns([LEG])
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
-    )
-    return both.groupby("gk").map_groups(membership, batch_format="pyarrow")
+    right = right_ds.map_batches(right_keys, batch_format="pyarrow")
+    return coarse_cogroup([left_ds, right], on_left, membership, num_groups)
 
 
 def repartition_join(left_ds, right_ds, on_left, on_right,
@@ -378,23 +339,12 @@ def repartition_join(left_ds, right_ds, on_left, on_right,
     the whole tuple.  Output key columns carry the LEFT names.  Salting stays
     single-key (name ONE hot column's values).
     """
-    def _pa_schema(ds):
-        sch = ds.schema()
-
-        def _to_pa(t):
-            if isinstance(t, pa.DataType):
-                return t
-            t = np.dtype(t)
-            return pa.string() if t == np.dtype("O") else pa.from_numpy_dtype(t)
-
-        return pa.schema([pa.field(n, _to_pa(t)) for n, t in zip(sch.names, sch.types)])
-
     lkeys = [on_left] if isinstance(on_left, str) else list(on_left)
     rkeys = [on_right] if isinstance(on_right, str) else list(on_right)
     assert lkeys and len(lkeys) == len(rkeys), (lkeys, rkeys)
     assert salt == 1 or len(lkeys) == 1, "salting is single-key only"
 
-    lsch, rsch = _pa_schema(left_ds), _pa_schema(right_ds)
+    lsch, rsch = arrow_schema(left_ds.schema()), arrow_schema(right_ds.schema())
     lcols = list(lsch.names)
     rpay = [n for n in rsch.names if n not in rkeys]
     for k in lkeys:

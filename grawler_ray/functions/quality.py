@@ -93,14 +93,15 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
     every occurrence of a given line text shares a group, so the in-group
     run length is the corpus-wide count and positions of >max_rep runs are
     the dropped set, decided locally.  Shuffle 2 (text moves once): docs
-    UNION the dropped (doc_id, pos) pairs on a coarse doc-hash; each group
-    rebuilds kept_text with a per-doc dropped-position set.  Hash
+    and the dropped (doc_id, pos) pairs meet in one coarse doc-hash
+    ``coarse_cogroup``; each group rebuilds kept_text with a per-doc
+    dropped-position set.  Hash
     collisions (2^-64/pair) could drop an innocent line — the documented
     approximation of the hashed plan; the broadcast plan is exact-string.
     """
     import pyarrow.compute as pc
 
-    from ..shuffle import coarse_group
+    from ..shuffle import LEG, coarse_cogroup, coarse_group
     from ..urlops import xxhash64_batch
 
     def positions(t: pa.Table) -> pa.Table:
@@ -148,45 +149,12 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
         .map_groups(dropped_in_group, batch_format="pyarrow")
     )
 
-    def tag_docs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "dk": pa.array(coarse_group(t.column("doc_id"), num_groups), pa.int32()),
-                "doc_id": t.column("doc_id"),
-                "text": t.column("text"),
-                "pos": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
-                "side": pa.array(np.zeros(t.num_rows, np.int8), pa.int8()),
-            }
-        )
-
-    def tag_dropped(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "dk": pa.array(coarse_group(t.column("doc_id"), num_groups), pa.int32()),
-                "doc_id": t.column("doc_id"),
-                "text": pa.nulls(t.num_rows, pa.string()),
-                "pos": t.column("pos"),
-                "side": pa.array(np.ones(t.num_rows, np.int8), pa.int8()),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            pa.field("doc_id", pa.int64()),
-            pa.field("kept_text", pa.string()),
-            pa.field("n_lines_kept", pa.int64()),
-            pa.field("n_lines_removed", pa.int64()),
-        ]
-    )
-
     def rewrite_group(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        side = t.column("side").to_numpy(zero_copy_only=False)
+        # leg 0: docs (doc_id, text); leg 1: dropped (doc_id, pos)
+        dmask = t.column(LEG).to_numpy() == 1
         doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        pos = t.column("pos").to_numpy(zero_copy_only=False)
-        dmask = side == 1
-        dd, dp = doc[dmask], pos[dmask]
+        dd = doc[dmask]
+        dp = t.filter(pa.array(dmask)).column("pos").to_numpy(zero_copy_only=False)
         order = np.lexsort((dp, dd))
         dd, dp = dd[order], dp[order]
         docs_tab = t.filter(pa.array(~dmask))
@@ -211,10 +179,14 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
             }
         )
 
-    both = docs_ds.select_columns(["doc_id", "text"]).map_batches(
-        tag_docs, batch_format="pyarrow"
-    ).union(dropped.map_batches(tag_dropped, batch_format="pyarrow"))
-    return both.groupby("dk").map_groups(rewrite_group, batch_format="pyarrow")
+    # materialized: the cogroup reads each leg's schema, and a lazy
+    # `dropped` would run its exchange once more to learn it
+    return coarse_cogroup(
+        [docs_ds.select_columns(["doc_id", "text"]), dropped.materialize()],
+        "doc_id",
+        rewrite_group,
+        num_groups,
+    )
 
 
 def line_dedup(

@@ -63,14 +63,13 @@ import ray.data
 
 from ..config import CrawlConfig
 from ..htmlparse import parse_page
-from ..shuffle import coarse_group, coarse_groupby
+from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index
 from ..state.pool import StateShard
 from ..urlops import (
     UrlError,
     canonical_url,
     extract_url_components,
     url_allowed,
-    xxhash64,
     xxhash64_batch,
 )
 
@@ -555,9 +554,9 @@ def _distributed_children(kids_src, base_seq: int, nparts: int):
        sorted block a local cumsum gives in-block offsets;
     2. per-block (min_seq, total) single-row partials go to the driver —
        O(num_blocks), not O(pages) — for the tiny block-base prefix sum;
-    3. a repartition join (union + hash(seq) groupby, same pattern as
-       verify_pairs_join's full-corpus path) attaches each parent's offset
-       and explodes its children in-group.
+    3. one coarse seq-hash ``coarse_cogroup`` of the parents and the
+       offsets (same pattern as verify_pairs_join's full-corpus path)
+       attaches each parent's offset and explodes its children in-group.
 
     Returns (children Dataset of (seq, url, parent_url[, cash]), total
     children).  A ``cash`` column on kids_src (frontier_order="opic") rides
@@ -603,75 +602,30 @@ def _distributed_children(kids_src, base_seq: int, nparts: int):
 
     offsets_ds = counts.map_batches(block_offsets, batch_size=None, batch_format="pyarrow")
 
-    def off_rows(t: pa.Table) -> pa.Table:
+    def attach_explode(t: pa.Table, base=base_seq) -> pa.Table:
+        # leg 0: parents (seq, url, child_urls[, cash]); leg 1: (seq, off)
+        leg = t.column(LEG).to_numpy()
+        offs = t.filter(leg == 1)
+        kids = t.filter(leg == 0)
+        kids = kids.take(pc.sort_indices(kids, [("seq", "ascending")]))
+        pos, hit = key_index(offs.column("seq").to_numpy(), kids.column("seq").to_numpy())
+        kids = kids.filter(pa.array(hit))  # a parent without an offset row is skipped
+        off = offs.column("off").to_numpy()[pos[hit]]
+        lists = kids.column("child_urls").combine_chunks()
+        n = pc.fill_null(pc.list_value_length(lists), 0).to_numpy().astype(np.int64)
+        ci = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
         cols = {
-            "seq": t.column("seq"),
-            "off": t.column("off"),
-            "url": pa.array([None] * t.num_rows, pa.string()),
-            "child_urls": pa.array([None] * t.num_rows, pa.list_(pa.string())),
+            "seq": pa.array(np.repeat(base + off, n) + ci, pa.int64()),
+            "url": pc.list_flatten(lists).cast(pa.string()),
+            "parent_url": kids.column("url").take(pa.array(np.repeat(np.arange(len(n)), n))),
         }
-        if with_cash:
-            cols["cash"] = pa.array([0] * t.num_rows, pa.int64())
+        if with_cash:  # integer split per child, remainder burned
+            share = kids.column("cash").to_numpy() // np.maximum(n, 1)
+            cols["cash"] = pa.array(np.repeat(share, n), pa.int64())
         return pa.table(cols)
 
-    def kid_rows(t: pa.Table) -> pa.Table:
-        cols = {
-            "seq": t.column("seq"),
-            "off": pa.array([-1] * t.num_rows, pa.int64()),
-            "url": t.column("url"),
-            "child_urls": t.column("child_urls"),
-        }
-        if with_cash:
-            cols["cash"] = t.column("cash")
-        return pa.table(cols)
-
-    def attach_explode(df: pd.DataFrame, base=base_seq) -> pd.DataFrame:
-        df = df.sort_values(["seq", "off"])  # kid row (off=-1) first in run
-        seqs_ = df["seq"].to_numpy()
-        offs = df["off"].to_numpy()
-        urls_ = df["url"].tolist()
-        kids_ = df["child_urls"].tolist()
-        cash_ = df["cash"].tolist() if with_cash else None
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(seqs_) != 0) + 1, [len(df)]))
-        out_s: list[int] = []
-        out_u: list[str] = []
-        out_p: list[str] = []
-        out_c: list[int] = []
-        for s, e in zip(starts[:-1], starts[1:]):
-            if e - s < 2:  # missing one side (shouldn't happen; be safe)
-                continue
-            off = int(offs[e - 1])
-            purl = urls_[s]
-            lst = kids_[s]
-            lst = [] if lst is None else list(lst)  # pandas gives ndarray
-            share = (int(cash_[s]) // len(lst)) if (with_cash and lst) else 0
-            for ci, k in enumerate(lst):
-                out_s.append(base + off + ci)
-                out_u.append(k)
-                out_p.append(purl)
-                out_c.append(share)
-        # arrow out: the downstream union+repartition mixes these blocks with
-        # arrow blocks, and the shuffle reducer requires one block type
-        cols = {
-            "seq": pa.array(out_s, pa.int64()),
-            "url": pa.array(out_u, pa.string()),
-            "parent_url": pa.array(out_p, pa.string()),
-        }
-        if with_cash:
-            cols["cash"] = pa.array(out_c, pa.int64())
-        return pa.table(cols)
-
-    children_ds = coarse_groupby(
-        kids_src.select_columns(
-            ["seq", "url", "child_urls"] + (["cash"] if with_cash else [])
-        )
-        .map_batches(kid_rows, batch_format="pyarrow")
-        .union(offsets_ds.map_batches(off_rows, batch_format="pyarrow")),
-        "seq",
-        attach_explode,
-        nparts,
-        "pandas",
-    )
+    kids = kids_src.select_columns(["seq", "url", "child_urls"] + (["cash"] if with_cash else []))
+    children_ds = coarse_cogroup([kids, offsets_ds], "seq", attach_explode, nparts)
     return children_ds, acc
 
 
@@ -933,16 +887,20 @@ def run_crawl(
 
     # --- one stateful actor pool: seen shard (T1) + robots cache (T3) per
     # actor; it starts while the seed frontier is built below ---
-    initial_robots: dict[str, tuple[str, int]] = {}
+    nsh = cfg.seen_shards
+    # the robots cache split by state-actor shard (``xxhash64(host) %
+    # shards``, StateShard's routing), every cached host hashed once
+    initial_robots: list[dict[str, tuple[str, int]]] = [{} for _ in range(nsh)]
     if robots_cache_path and os.path.exists(robots_cache_path):
         rt = pq.read_table(robots_cache_path)
-        for h, b, ts_us in zip(
-            rt.column("host").to_pylist(),
+        hosts = rt.column("host").to_pylist()
+        for h, i, b, ts_us in zip(
+            hosts,
+            (xxhash64_batch(hosts) % np.uint64(nsh)).tolist(),
             rt.column("robots").to_pylist(),
             rt.column("ts").cast(pa.int64()).to_pylist(),  # tz-safe epoch µs
         ):
-            initial_robots[h] = (b, ts_us)
-    nsh = cfg.seen_shards
+            initial_robots[i][h] = (b, ts_us)
     StateActor = ray.remote(num_cpus=0.1)(StateShard)
     actors = [
         StateActor.remote(
@@ -953,7 +911,7 @@ def run_crawl(
             user_agent=cfg.user_agent,
             now_us=cfg.now_us,
             ttl_days=cfg.robots_ttl_days,
-            initial={h: v for h, v in initial_robots.items() if xxhash64(h) % nsh == i},
+            initial=initial_robots[i],
             fetch_mode=cfg.fetch_mode,
             http_timeout_s=cfg.http_timeout_s,
         )
@@ -1363,94 +1321,45 @@ def _parsed_rounds(out_dir: str) -> list[tuple[int, list[str], int | None]]:
     return out
 
 
-def _parsed_split(out_dir: str) -> tuple[list[str], list[tuple[list[str], int]]]:
-    """Parsed files split into (uncut files, [(cut-round files, cutoff)])."""
-    plain: list[str] = []
-    cut: list[tuple[list[str], int]] = []
-    for rnd, fl, cutoff in _parsed_rounds(out_dir):
-        if cutoff is not None:
-            cut.append((fl, cutoff))
-        else:
-            plain.extend(fl)
-    return plain, cut
-
-
 def _empty_ds(schema: pa.Schema) -> "ray.data.Dataset":
     return ray.data.from_arrow(schema.empty_table())
 
 
-def _noindex_filter(files: list[str]) -> list[str]:
-    """Extra sink filter: the ``noindex`` column exists in the parsed
-    schema only when the crawl ran with respect_nofollow, and its rows
-    are excluded from the document/words sinks (fetched + followed, not
-    indexed — the REP meta-robots semantics)."""
-    if files and "noindex" in pq.read_schema(files[0]).names:
-        return ["noindex == 0"]
-    return []
-
-
-def _read_parsed_fetched(out_dir: str, columns: list[str]) -> "ray.data.Dataset | None":
-    """Parsed rows with action=='fetched' across rounds, honoring any
-    max_urls seq_cutoff and excluding meta-robots noindex rows; projected
-    to ``columns``.  None when no files."""
-    plain, cut = _parsed_split(out_dir)
-    parts = []
-    if plain:
-        ni = _noindex_filter(plain)
-        ds = ray.data.read_parquet(plain, columns=columns + ["action"] + (["noindex"] if ni else []))
-        ds = ds.filter(expr="action == 'fetched'")
-        for e in ni:
-            ds = ds.filter(expr=e)
-        parts.append(ds.select_columns(columns))
-    for fl, cutoff in cut:
-        ni = _noindex_filter(fl)
-        cols = columns + ["action"] + (["seq"] if "seq" not in columns else []) + (["noindex"] if ni else [])
-        ds = (
-            ray.data.read_parquet(fl, columns=cols)
-            .filter(expr="action == 'fetched'")
-            .filter(expr=f"seq <= {cutoff}")
-        )
-        for e in ni:
-            ds = ds.filter(expr=e)
-        parts.append(ds.select_columns(columns))
-    if not parts:
-        return None
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds
-
-
-def _read_parsed_runs(out_dirs: list[str], columns: list[str]):
-    """Fetched parsed rows across a SEQUENCE of runs, with (run_i, rnd)
-    provenance columns attached (run order = list order).  None if no data."""
+def _read_fetched(out_dirs: list[str], columns: list[str]):
+    """The document/words sink rows: parsed rows with action 'fetched'
+    across runs (run order = list order), projected to ``columns`` plus
+    ``seq`` and (run_i, rnd) provenance, the upsert-on-read order.  Rows
+    past a round's max_urls seq cutoff are cut, and so are meta-robots
+    noindex rows (that column exists only when the crawl ran with
+    respect_nofollow: fetched + followed, not indexed — the REP
+    semantics).  None when no files."""
+    keep = list(dict.fromkeys(columns + ["seq"]))
     parts = []
     for ri, d in enumerate(out_dirs):
         for rnd, fl, cutoff in _parsed_rounds(d):
-            ni = _noindex_filter(fl)
-            cols = (
-                columns + ["action"]
-                + (["seq"] if "seq" not in columns else [])
-                + (["noindex"] if ni else [])
-            )
-            ds = ray.data.read_parquet(fl, columns=cols).filter(expr="action == 'fetched'")
-            for e in ni:
-                ds = ds.filter(expr=e)
+            cond = ["action == 'fetched'"]
+            ni = "noindex" in pq.read_schema(fl[0]).names
+            if ni:
+                cond.append("noindex == 0")
             if cutoff is not None:
-                ds = ds.filter(expr=f"seq <= {cutoff}")
+                cond.append(f"seq <= {cutoff}")
 
             def tag(t: pa.Table, ri=ri, rnd=rnd) -> pa.Table:
-                return t.select(columns + (["seq"] if "seq" not in columns else [])).append_column(
-                    "run_i", pa.array([ri] * t.num_rows, pa.int32())
-                ).append_column("rnd", pa.array([rnd] * t.num_rows, pa.int32()))
+                n = t.num_rows
+                return t.select(keep).append_column(
+                    "run_i", pa.array(np.full(n, ri, np.int32))
+                ).append_column("rnd", pa.array(np.full(n, rnd, np.int32)))
 
-            parts.append(ds.map_batches(tag, batch_format="pyarrow"))
-    if not parts:
-        return None
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds
+            parts.append(
+                ray.data.read_parquet(
+                    fl, columns=keep + ["action"] + (["noindex"] if ni else [])
+                )
+                .filter(expr=" and ".join(cond))
+                .map_batches(tag, batch_format="pyarrow")
+            )
+    if len(parts) > 1:
+        return parts[0].union(*parts[1:])
+    return parts[0] if parts else None
 
 
 def _last_wins(ds, out_columns: list[str], num_groups: int = 256):
@@ -1485,21 +1394,12 @@ def read_documents(out_dir: str | list[str], dedup: str | None = None) -> "ray.d
     one row per url, the newest (run, round, seq) wins — re-running a crawl
     over the same corpus then reading both runs behaves like the couchbase
     Upsert (db.go:64).  Default (None) is raw append across runs."""
-    dirs = [out_dir] if isinstance(out_dir, str) else list(out_dir)
-    if dedup == "last":
-        ds = _read_parsed_runs(dirs, DOC_COLUMNS)
-        if ds is None:
-            return _empty_ds(_DOCS_SCHEMA)
-        return _last_wins(ds, DOC_COLUMNS)
-    if dedup is not None:
+    if dedup not in (None, "last"):
         raise ValueError(f"unknown dedup mode {dedup!r} (None or 'last')")
-    parts = [p for p in (_read_parsed_fetched(d, DOC_COLUMNS) for d in dirs) if p is not None]
-    if not parts:  # a crawl can legitimately fetch nothing (all seeds denied)
+    ds = _read_fetched([out_dir] if isinstance(out_dir, str) else list(out_dir), DOC_COLUMNS)
+    if ds is None:  # a crawl can legitimately fetch nothing (all seeds denied)
         return _empty_ds(_DOCS_SCHEMA)
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds
+    return _last_wins(ds, DOC_COLUMNS) if dedup == "last" else ds.select_columns(DOC_COLUMNS)
 
 
 def read_words(out_dir: str | list[str], dedup: str | None = None) -> "ray.data.Dataset":
@@ -1507,21 +1407,10 @@ def read_words(out_dir: str | list[str], dedup: str | None = None) -> "ray.data.
     ``dedup="last"`` keeps only the newest run/round's words per url — the
     reference's InsertWords upsert (db.go:73) replaces a url's whole word
     list on re-crawl."""
-    dirs = [out_dir] if isinstance(out_dir, str) else list(out_dir)
-    cols = ["url", "words_w", "words_f"]
-    if dedup == "last":
-        ds = _read_parsed_runs(dirs, cols)
-        ds = _last_wins(ds, cols) if ds is not None else None
-    elif dedup is not None:
+    if dedup not in (None, "last"):
         raise ValueError(f"unknown dedup mode {dedup!r} (None or 'last')")
-    else:
-        parts = [p for p in (_read_parsed_fetched(d, cols) for d in dirs) if p is not None]
-        if parts:
-            ds = parts[0]
-            for p in parts[1:]:
-                ds = ds.union(p)
-        else:
-            ds = None
+    cols = ["url", "words_w", "words_f"]
+    ds = _read_fetched([out_dir] if isinstance(out_dir, str) else list(out_dir), cols)
     if ds is None:
         return _empty_ds(
             pa.schema(
@@ -1529,6 +1418,7 @@ def read_words(out_dir: str | list[str], dedup: str | None = None) -> "ray.data.
                  ("frequency", pa.int64())]
             )
         )
+    ds = _last_wins(ds, cols) if dedup == "last" else ds.select_columns(cols)
 
     def explode(t: pa.Table) -> pa.Table:
         urls, ws, fs = [], [], []
@@ -1570,12 +1460,10 @@ def crawl_report(out_dir: str) -> dict:
                 entry.update(json.load(f))
         entry["partitions"] = len(entry.pop("parsed_partitions", {}) or {})
         total_rows += entry.get("parsed_rows", 0) or 0
-        tdirs = [os.path.join(rd, "trace"), os.path.join(rd, "trace_parse")]
+        td = os.path.join(rd, "trace")
         tfiles = [
             os.path.join(td, f)
-            for td in tdirs
-            if os.path.isdir(td)
-            for f in sorted(os.listdir(td))
+            for f in (sorted(os.listdir(td)) if os.path.isdir(td) else [])
             if f.endswith(".parquet")
         ]
         if tfiles:
@@ -1596,7 +1484,7 @@ def crawl_report(out_dir: str) -> dict:
 
 def read_trace(out_dir: str) -> "ray.data.Dataset":
     """crawl trace (FIXTURES.md §4): all actions, ordered by (round, seq)."""
-    files = _round_files(out_dir, "trace") + _round_files(out_dir, "trace_parse")
+    files = _round_files(out_dir, "trace")
     if not files:
         return _empty_ds(
             pa.schema(
@@ -1626,7 +1514,7 @@ def host_graph(out_dir: str) -> "ray.data.Dataset":
 
     from ..urlops import UrlError, extract_url_components
 
-    files = _round_files(out_dir, "trace") + _round_files(out_dir, "trace_parse")
+    files = _round_files(out_dir, "trace")
     if not files:
         return _empty_ds(
             pa.schema(
@@ -1672,22 +1560,13 @@ def _host_nodes_pairs(out_dir: str):
     is consumed by more than one downstream stage."""
     from ray.data.aggregate import Count
 
-    from ..urlops import xxhash64
-
     hg = host_graph(out_dir).materialize()  # consumed by nodes AND pairs
 
-    def _hid(hosts: list[str]) -> list[int]:
-        return [xxhash64(h) >> 1 for h in hosts]
+    def _hid(hosts: pa.ChunkedArray) -> pa.Array:
+        return pa.array((xxhash64_batch(hosts.to_pylist()) >> np.uint64(1)).astype(np.int64))
 
     def edge_rows(t: pa.Table) -> pa.Table:
-        src = t.column("src_host").to_pylist()
-        dst = t.column("dst_host").to_pylist()
-        return pa.table(
-            {
-                "a": pa.array(_hid(src), pa.int64()),
-                "b": pa.array(_hid(dst), pa.int64()),
-            }
-        )
+        return pa.table({"a": _hid(t.column("src_host")), "b": _hid(t.column("dst_host"))})
 
     def node_rows(t: pa.Table) -> pa.Table:
         hosts = t.column("src_host").to_pylist() + t.column("dst_host").to_pylist()
@@ -1701,13 +1580,7 @@ def _host_nodes_pairs(out_dir: str):
     )
 
     def with_id(t: pa.Table) -> pa.Table:
-        hosts = t.column("host").to_pylist()
-        return pa.table(
-            {
-                "host": t.column("host"),
-                "doc_id": pa.array(_hid(hosts), pa.int64()),
-            }
-        )
+        return pa.table({"host": t.column("host"), "doc_id": _hid(t.column("host"))})
 
     nodes = nodes.map_batches(with_id, batch_format="pyarrow").materialize()
     pairs = hg.map_batches(edge_rows, batch_format="pyarrow").materialize()
@@ -1779,8 +1652,6 @@ def compact_runs(out_dirs: list[str] | str, dest: str, num_buckets: int = 64) ->
     (``bucket=*`` partition dirs only); anything else raises rather than
     recursively deleting an unrelated directory on a mistyped path.
     """
-    from ..urlops import xxhash64
-
     if os.path.isdir(dest):
         entries = os.listdir(dest)
         if entries and not all(e.startswith("bucket=") for e in entries):
@@ -1794,8 +1665,8 @@ def compact_runs(out_dirs: list[str] | str, dest: str, num_buckets: int = 64) ->
     docs = read_documents(out_dirs, dedup="last")
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        b = [xxhash64(u) % num_buckets for u in t.column("url").to_pylist()]
-        return t.append_column("bucket", pa.array(b, pa.int32()))
+        b = xxhash64_batch(t.column("url").to_pylist()) % np.uint64(num_buckets)
+        return t.append_column("bucket", pa.array(b.astype(np.int32)))
 
     shutil.rmtree(dest, ignore_errors=True)
     ds = docs.map_batches(add_bucket, batch_format="pyarrow")

@@ -9,9 +9,10 @@ to turn a raw documents table into training-ready shards.
       -> optional partitioned parquet output (one dir per split)
 
 Every stage is the already-SQL-or-fixture-proven operator it names; this
-module only composes them, plus ONE repartition semi-join (union + coarse
-doc-hash groupby — Ray 2.49's native Dataset.join is avoided for the
-documented Acero defects) to carry text past the component keep-set.
+module only composes them, plus ONE repartition semi-join (a coarse
+doc-hash ``shuffle.coarse_cogroup`` — Ray 2.49's native Dataset.join is
+avoided for the documented Acero defects) to carry text past the
+component keep-set.
 
 Scale shape (round 4): the TEXT PAYLOAD never rides a shuffle in the
 common low-dup-rate case — only ids and hashes do.  Both dedup stages
@@ -59,7 +60,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from grawler_ray.shuffle import coarse_group, coarse_groupby
+from grawler_ray.shuffle import LEG, coarse_cogroup, coarse_groupby
 
 
 def _mark(timings: dict | None, stage: str, t0: float) -> float:
@@ -146,51 +147,23 @@ def _semi_join_text(docs_ds, keep_ids_ds, num_groups: int):
 
 
 def _filter_join_text(docs_ds, ids_ds, num_groups: int, keep: bool):
-    """docs (doc_id, text) ⋉ / ▷ ids (doc_id) via union + coarse-hash
-    groupby (the repartition-join pattern; both sides pandas blocks).
-    ``keep=True`` is a semi-join (keep members), ``keep=False`` an
-    anti-join (drop members)."""
+    """docs (doc_id, text) ⋉ / ▷ ids (doc_id) in one coarse doc-id
+    cogroup (leg 0 docs, leg 1 ids).  ``keep=True`` is a semi-join (keep
+    members), ``keep=False`` an anti-join (drop members)."""
 
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "dg": coarse_group(df["doc_id"], num_groups),
-                "doc_id": df["doc_id"].to_numpy().astype(np.int64),
-                "text": df["text"].to_numpy(),
-                "is_doc": np.ones(len(df), np.int8),
-            }
-        )
+    def keep_group(t: pa.Table) -> pa.Table:
+        leg = t.column(LEG).to_numpy()
+        ids = t.column("doc_id").to_numpy()
+        docs = t.filter(leg == 0)
+        hit = np.isin(ids[leg == 0], ids[leg == 1])
+        return docs.filter(hit == keep).select(["doc_id", "text"])
 
-    def tag_keep(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "dg": coarse_group(df["doc_id"], num_groups),
-                "doc_id": df["doc_id"].to_numpy().astype(np.int64),
-                "text": np.full(len(df), "", object),
-                "is_doc": np.zeros(len(df), np.int8),
-            }
-        )
-
-    both = docs_ds.map_batches(tag_docs, batch_format="pandas").union(
-        ids_ds.map_batches(tag_keep, batch_format="pandas")
+    return coarse_cogroup(
+        [docs_ds.select_columns(["doc_id", "text"]), ids_ds.select_columns(["doc_id"])],
+        "doc_id",
+        keep_group,
+        num_groups,
     )
-
-    def keep_group(df: pd.DataFrame) -> pd.DataFrame:
-        isdoc = df["is_doc"].to_numpy() == 1
-        members = np.sort(df.loc[~isdoc, "doc_id"].to_numpy())
-        ids = df.loc[isdoc, "doc_id"].to_numpy()
-        if len(members) == 0:
-            ok = np.zeros(len(ids), bool)
-        else:
-            pos = np.searchsorted(members, ids)
-            ok = (pos < len(members)) & (
-                members[np.minimum(pos, len(members) - 1)] == ids
-            )
-        if not keep:
-            ok = ~ok
-        return df.loc[isdoc].loc[ok, ["doc_id", "text"]]
-
-    return both.groupby("dg").map_groups(keep_group, batch_format="pandas")
 
 
 def _split_counts(t: pa.Table) -> pa.Table:

@@ -1,5 +1,6 @@
 """The coarse-partition shuffle: one hash that decides which of ``G`` groups
-a row goes to, and one helper for the exchange built on it.
+a row goes to, and one exchange built on it for one Dataset
+(``coarse_groupby``) or several tagged legs (``coarse_cogroup``).
 
 Most distributed operators here share one shape: tag every row with
 ``hash(key) % G`` (G ~ 256 coarse groups), ``groupby(tag).map_groups``, and
@@ -27,7 +28,8 @@ _BYTES_TYPES = (
     pa.types.is_string, pa.types.is_large_string, pa.types.is_binary, pa.types.is_large_binary
 )
 
-TAG = "_cg"  # the tag column coarse_groupby adds and strips again before fn
+TAG = "_cg"  # the coarse group id the exchange adds, and strips again before fn
+LEG = "_leg"  # int8 leg position that fn sees when coarse_cogroup has two or more legs
 
 
 def _hash64(keys) -> tuple[np.ndarray, bool, np.ndarray | None]:
@@ -91,27 +93,103 @@ def coarse_group_tuple(columns: list, num_groups: int, salt=None) -> np.ndarray:
     return ((mix >> np.uint64(33)) % np.uint64(num_groups)).astype(np.int32)
 
 
-def coarse_groupby(ds, key: str, fn, num_groups: int = 256, batch_format: str = "pyarrow"):
-    """``groupby(coarse_group(key)).map_groups(fn)`` on one Dataset.
+def arrow_schema(schema) -> pa.Schema:
+    """A Dataset's ``schema()`` as a ``pa.Schema`` (no columns when Ray has
+    none: an empty Dataset).  Pandas-block datasets report numpy dtypes;
+    an object column there is a string column."""
+    if schema is None:
+        return pa.schema([])
 
-    ``fn`` receives all rows of one coarse group (many keys, equal keys
-    always together) in ``batch_format``, without the tag column, and
-    separates the true keys itself (sort + run-scan).  The tag map keeps
+    def typ(t):
+        if isinstance(t, pa.DataType):
+            return t
+        t = np.dtype(t)
+        return pa.string() if t == np.dtype("O") else pa.from_numpy_dtype(t)
+
+    return pa.schema([pa.field(n, typ(t)) for n, t in zip(schema.names, schema.types)])
+
+
+def coarse_cogroup(legs, key: str, fn, num_groups: int = 256, batch_format: str = "pyarrow"):
+    """Group the rows of several Datasets ("legs") together by
+    ``coarse_group(key)``: the union + coarse-hash groupby "repartition
+    join" (Ray 2.49's native ``Dataset.join`` breaks on empty partitions
+    and ``list<>`` payloads).  Every leg carries ``key`` under that name.
+
+    ``fn`` receives all rows of one coarse group (many keys, equal keys of
+    every leg always together) in ``batch_format`` and separates the true
+    keys itself (sort + run-scan).  The coarse tag never reaches ``fn``.
+
+    With two or more legs, every leg is padded to the union of the legs'
+    columns (typed nulls where a leg lacks a column, types unified across
+    legs) and gets an int8 ``LEG`` column holding its position in
+    ``legs``, so ``fn`` always sees one schema and tells the sides apart
+    by ``LEG``.  The legs travel as blocks of ``batch_format``: Ray 2.49
+    passes an empty partition through without calling ``fn``, so it
+    leaves as an empty block of that format.  In a pandas exchange a
+    padded integer column is float64 in every leg (pandas has no integer
+    null; exact only below 2**53).  Each leg's schema comes from
+    ``Dataset.schema()``: a leg whose schema Ray does not know yet runs
+    its first block once to learn it, so materialize a costly leg first.
+
+    One leg is ``coarse_groupby``: no padding, no ``LEG`` column, and
+    each block keeps its own format."""
+    legs = list(legs)
+    schema = None
+    if len(legs) > 1:
+        schemas = [arrow_schema(ds.schema()) for ds in legs]
+        schema = pa.unify_schemas(schemas, promote_options="permissive")
+        if batch_format == "pandas":  # pandas has no integer null
+            schema = pa.schema([
+                pa.field(f.name, pa.float64())
+                if pa.types.is_integer(f.type) and not all(f.name in s.names for s in schemas)
+                else f
+                for f in schema
+            ])
+
+    def tagger(leg: int):
+        def tag(b):
+            if schema is None:
+                if isinstance(b, pd.DataFrame):
+                    return b.assign(**{TAG: coarse_group(b[key], num_groups)})
+                return b.append_column(TAG, pa.array(coarse_group(b.column(key), num_groups)))
+            n = b.num_rows
+            cols = [
+                b.column(f.name).cast(f.type) if f.name in b.column_names else pa.nulls(n, f.type)
+                for f in schema
+            ]
+            t = pa.Table.from_arrays(cols, schema=schema)
+            t = t.append_column(LEG, pa.array(np.full(n, leg, np.int8)))
+            t = t.append_column(TAG, pa.array(coarse_group(t.column(key), num_groups)))
+            return t.to_pandas() if batch_format == "pandas" else t
+
+        return tag
+
+    def run(b):
+        return fn(b.drop(columns=TAG) if isinstance(b, pd.DataFrame) else b.drop_columns([TAG]))
+
+    tagged = [
+        ds.map_batches(tagger(i), batch_format=None if schema is None else "pyarrow")
+        for i, ds in enumerate(legs)
+    ]
+    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return both.groupby(TAG).map_groups(run, batch_format=batch_format)
+
+
+def key_index(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in ``keys`` of each query's first equal key, found mask):
+    how a cogroup ``fn`` attaches one leg's rows to another leg's keys.
+    Where a query is not found its position is arbitrary."""
+    if len(keys) == 0:
+        return np.zeros(len(queries), np.int64), np.zeros(len(queries), bool)
+    order = np.argsort(keys, kind="stable")
+    pos = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
+    return pos, keys[pos] == queries
+
+
+def coarse_groupby(ds, key: str, fn, num_groups: int = 256, batch_format: str = "pyarrow"):
+    """``groupby(coarse_group(key)).map_groups(fn)`` on one Dataset: the
+    one-leg ``coarse_cogroup``.  ``fn`` receives all rows of one coarse
+    group in ``batch_format``, without the tag column; the tag map keeps
     each block's own format, so the exchange moves the same block type as
     its input."""
-
-    def tag(b):
-        if isinstance(b, pd.DataFrame):
-            return b.assign(**{TAG: coarse_group(b[key], num_groups)})
-        return b.append_column(TAG, pa.array(coarse_group(b.column(key), num_groups)))
-
-    def run(b):  # empty partitions can arrive as zero-column blocks
-        if isinstance(b, pd.DataFrame):
-            return fn(b.drop(columns=TAG, errors="ignore"))
-        return fn(b.drop_columns([TAG]) if TAG in b.column_names else b)
-
-    return (
-        ds.map_batches(tag, batch_format=None)
-        .groupby(TAG)
-        .map_groups(run, batch_format=batch_format)
-    )
+    return coarse_cogroup([ds], key, fn, num_groups, batch_format)
