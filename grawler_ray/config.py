@@ -18,6 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# reference constants that no crawl overrides
+ALLOWED_CONTENT_TYPES = ("text/html", "text/plain")  # documentAllowed, src/crawler.go:275
+ROBOTS_TTL_DAYS = 45  # ~1 month + 15 days (src/crawler.go:230)
+OPIC_TOTAL_CASH = 10**12  # the cash the seeds split under frontier_order="opic"
+HTTP_TIMEOUT_S = 10.0  # per request, page and robots.txt fetches (http mode)
+HTTP_THREADS = 16  # in-flight requests per fetcher actor (http mode)
+
 
 @dataclass
 class CrawlConfig:
@@ -26,9 +33,9 @@ class CrawlConfig:
     allowed_schemes: tuple[str, ...] = ("http", "https")
     blocked_hosts: tuple[str, ...] = ()
     blocked_paths: tuple[str, ...] = ("/robots.txt",)
-    allowed_content_types: tuple[str, ...] = ("text/html", "text/plain")
-    # False = reference parity (documentAllowed admits only the two types
-    # above; pdf/office rows trace "type-drop", src/crawler.go:274-282).
+    # False = reference parity (documentAllowed admits only
+    # ALLOWED_CONTENT_TYPES; pdf/office rows trace "type-drop",
+    # src/crawler.go:274-282).
     # True = the crawl also ingests application/pdf and the document formats
     # the engine carries extractors for (DOCX/ODT/RTF/EPUB) — text extracted via
     # the same parsers the *_ingest queries gate, no child links, words and
@@ -36,7 +43,6 @@ class CrawlConfig:
     # shared parse_page, so full-trace equality holds in this mode too.
     extended_doc_types: bool = False
     per_host_quota: int = 4          # round-based politeness budget (T2)
-    robots_ttl_days: int = 45        # ~1 month + 15 days (src/crawler.go:230)
     now_us: int = 1_722_988_800_000_000  # "wall clock" for TTL checks: 2024-08-07 UTC, the reference snapshot date (no real wall clock in the engine)
     canonicalize_seen: bool = False  # False = reference raw-URL equality (src/crawler.go:191); True = north-rule canonicalization
     frontier_cap: int | None = None  # None = unbounded (reference: 100_000 with silent child drops)
@@ -47,7 +53,7 @@ class CrawlConfig:
     # pure function of the url, so deferred rows re-rank consistently.
     # Incompatible with max_urls (the budget cutoff is seq-ordered).
     # "opic": On-line Page Importance Computation (Abiteboul, Preda &
-    # Cobena, WWW 2003) — seeds split opic_total_cash; a fetched page
+    # Cobena, WWW 2003) — seeds split OPIC_TOTAL_CASH; a fetched page
     # splits its cash equally among its children (integer //, remainder
     # burned); same-round contributions to one URL sum inside the
     # admission group (equal keys co-locate); the frontier fetches
@@ -56,7 +62,6 @@ class CrawlConfig:
     # Requires fetch_mode="corpus"; incompatible with max_urls like
     # "priority".
     frontier_order: str = "fifo"
-    opic_total_cash: int = 10**12
     # False = reference parity (assume UTF-8, Go ToValidUTF8 strips invalid
     # bytes); True = WHATWG charset sniffing (BOM > raw Content-Type charset
     # param > meta prescan; undecodable bytes -> U+FFFD) so non-UTF-8 pages
@@ -83,8 +88,6 @@ class CrawlConfig:
     # physical execution
     fetch_mode: str = "corpus"       # "corpus" (bucketed-parquet point join) | "http" (live fetch, S3 utils.go:22-45)
     http_concurrency: int = 4        # HttpFetcher actor-pool size (http mode)
-    http_timeout_s: float = 10.0
-    http_threads: int = 16           # in-flight requests per fetcher actor
     num_fetch_buckets: int = 32      # corpus hash-bucket count (must match corpus layout)
     seen_shards: int = 8             # state actors: one seen-set shard + the robots cache of its hosts each
     seen_mode: str = "exact"         # "exact" (conformance) | "cuckoo" (scale)
@@ -120,5 +123,5 @@ class CrawlConfig:
         """documentAllowed's admit set: the parity pair, plus the
         extractor-backed formats under ``extended_doc_types``."""
         if self.extended_doc_types:
-            return self.allowed_content_types + self.EXTENDED_TYPES
-        return self.allowed_content_types
+            return ALLOWED_CONTENT_TYPES + self.EXTENDED_TYPES
+        return ALLOWED_CONTENT_TYPES

@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index
+from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index, materialize_loop_state
 from ..textops import _WORD_RE
 from ..urlops import xxhash64
 
@@ -1495,10 +1495,8 @@ def dedup_components(
         # chain otherwise compounds blocks per round (shuffle output
         # partitions track input blocks), turning k rounds into 2^k
         # per-block fixed cost — measured on pagerank's identical loop
-        labels = (
-            coarse_cogroup([labels, msgs], "doc_id", min_label, num_groups)
-            .repartition(num_groups)
-            .materialize()
+        labels = materialize_loop_state(
+            coarse_cogroup([labels, msgs], "doc_id", min_label, num_groups).repartition(num_groups)
         )
         cur = labels.aggregate(Sum("label", alias_name="s"))["s"]
         if cur == prev_sum:  # labels are monotone non-increasing => fixpoint
@@ -2345,7 +2343,9 @@ def snapshot_delta(ds_a, ds_b, key_col: str = "doc_id",
 
         return t.filter(pc.is_in(t.column("change"), pa.array(["added", "changed"])))
 
-    delta_keys = diff.map_batches(keep_delta, batch_format="pyarrow")
+    # materialized: repartition_join reads its schema, which would
+    # otherwise run the whole diff once more
+    delta_keys = diff.map_batches(keep_delta, batch_format="pyarrow").materialize()
     return repartition_join(
         ds_b.select_columns([key_col, payload_col]),
         delta_keys,
@@ -2479,17 +2479,7 @@ def dup_ratio_by_source(docs_ds, num_groups: int = 256):
             }
         )
 
-    out_schema = pa.schema(
-        [
-            pa.field("source", pa.string()),
-            pa.field("pn", pa.int64()),
-            pa.field("pdup", pa.int64()),
-        ]
-    )
-
     def mark(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         df = t.select(["h", "source"]).to_pandas().sort_values("h")
         h = df["h"].to_numpy()
         n = len(df)
@@ -2691,19 +2681,7 @@ def cdc_chunks(docs_ds, min_size: int = 64, avg_size: int = 256,
     """
     from ..urlops import xxhash64_batch
 
-    out_schema = pa.schema(
-        [
-            pa.field("doc_id", pa.int64()),
-            pa.field("chunk_idx", pa.int64()),
-            pa.field("offset", pa.int64()),
-            pa.field("length", pa.int64()),
-            pa.field("chunk_hash", pa.int64()),
-        ]
-    )
-
     def chunk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         texts = t.column(payload_col).to_pylist()
         out_id, out_idx, out_off, out_len, blobs = [], [], [], [], []

@@ -1,10 +1,10 @@
 """Link-graph centrality over a distributed edge table.
 
 PageRank (Page et al. 1999, public paper) re-expressed Ray-Data-first:
-every step is a coarse-hash repartition join (union + groupby, the
-pattern this repo uses everywhere `Dataset.join` would deadlock — see
-CLAUDE.md) or an Arrow hash-aggregate; no driver-side adjacency, no
-per-node groups.  Arithmetic is INTEGER FIXED-POINT (ranks scaled by
+every step is a ``shuffle.coarse_cogroup`` repartition join (the pattern
+this repo uses everywhere `Dataset.join` would deadlock — see CLAUDE.md)
+keyed on the true node column; no driver-side adjacency, no per-node
+groups.  Arithmetic is INTEGER FIXED-POINT (ranks scaled by
 ``scale``, floor division everywhere) so the DuckDB oracle — the same
 recurrence unrolled as k CTE layers — hash-compares bit-exactly: float
 PageRank would drift across summation orders, integer sums are
@@ -25,12 +25,13 @@ redistribution — the variant is pinned, both sides implement the same
 one).  Dropped mass is the standard price of the simple variant; rank
 ORDER, which is what centrality consumers use, is unaffected.
 
-Scale shape: per iteration, ONE coarse src-hash shuffle joins ranks onto
-edges (contrib = r//deg rides the edge row), one Arrow hash-aggregate
-sums contributions per dst, and ONE coarse dst-hash shuffle left-joins
-the sums back onto the node table.  The rank table (2 ints/node) is
-materialized between iterations to keep the lazy DAG shallow (bounded:
-O(nodes), the same control-table discipline as the crawl frontier).
+Scale shape: per iteration, ONE cogroup of ranks and edges on the source
+node pushes r//deg along every edge and pre-sums it per destination, and
+ONE cogroup of ranks and those partial sums on the node finishes the sums.
+The rank table (2 ints/node) is materialized between iterations to keep
+the lazy DAG shallow (bounded: O(nodes), the same control-table
+discipline as the crawl frontier).  The loops' cogroups run in pyarrow
+format: a pandas cogroup turns padded int64 ids into float64.
 """
 
 from __future__ import annotations
@@ -38,8 +39,70 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index
+from ..shuffle import LEG, coarse_cogroup, coarse_groupby, key_index, materialize_loop_state
+
+_SUMS = pa.schema([pa.field("v", pa.int64()), pa.field("csum", pa.int64())])
+
+
+def _groups_for(n: int) -> int:
+    """Coarse group count of an iterative loop over ``n`` nodes: every
+    iteration pays its exchanges whatever the data size, so small graphs
+    get few groups."""
+    return 8 if n < 1_000_000 else (64 if n < 100_000_000 else 256)
+
+
+def _i64(t: pa.Table, name: str) -> np.ndarray:
+    return t.column(name).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+
+
+def _key_counts(keys: np.ndarray) -> np.ndarray:
+    """For every row, the number of rows sharing its key."""
+    _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return counts[inv]
+
+
+def _split(t: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """The rows of leg 0 and of leg 1 of a two-leg cogroup group."""
+    leg = t.column(LEG).to_numpy()
+    return t.filter(pa.array(leg == 0)), t.filter(pa.array(leg == 1))
+
+
+def _sum_by(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys ascending, int64-exact sum of ``vals`` per key)."""
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    k, x = keys[order], vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    return k[starts], np.add.reduceat(x, starts)
+
+
+def _push_sums(t: pa.Table, weight) -> pa.Table:
+    """First cogroup of a pagerank / HITS iteration.  Leg 0 holds node
+    values (v, r), leg 1 edges (v = source, t = target, ...).  Every edge
+    takes ``weight(r of its source, edge rows)`` and the group emits
+    PARTIAL sums per target (v, csum): pre-summed here, the contributions
+    need no groupby(t).sum exchange of their own."""
+    vals, edges = _split(t)
+    if vals.num_rows == 0 or edges.num_rows == 0:  # a one-sided group
+        return _SUMS.empty_table()
+    pos, _ = key_index(_i64(vals, "v"), _i64(edges, "v"))
+    tv, cs = _sum_by(_i64(edges, "t"), weight(_i64(vals, "r")[pos], edges))
+    return pa.table({"v": tv, "csum": cs}, schema=_SUMS)
+
+
+def _pull_sums(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """Second cogroup of a pagerank / HITS iteration: (node ids of leg 0,
+    the total of leg 1's partial sums per node, 0 where none)."""
+    nodes, sums = _split(t)
+    nv = _i64(nodes, "v")
+    sv, sc = _sum_by(_i64(sums, "v"), _i64(sums, "csum"))
+    pos, hit = key_index(sv, nv)
+    csum = np.zeros(len(nv), np.int64)
+    csum[hit] = sc[pos[hit]]
+    return nv, csum
 
 
 def _wedge_pairs(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,36 +141,32 @@ def degree_stats(
     distribution feeds skew decisions for every other graph op here).
     Output (node_col, degree:int64).
 
-    Scale shape: one row per edge endpoint + one zero row per node into a
-    single node-hash aggregate — no adjacency materialization, no join;
-    the left-join-with-zeros is expressed as union + sum, the repo's
-    repartition-join pattern degenerated to its cheapest case.  Both
-    union legs emit ARROW blocks: a groupby().sum() fed by pandas blocks
-    is the Ray 2.49 sort-aggregate slow path (CLAUDE.md rule).
+    Scale shape: one cogroup on the node id of two legs, one row per edge
+    endpoint and one row per node; each group counts the endpoint rows of
+    its distinct ids — no adjacency materialization.
 
     Size-adaptive small path (the pagerank pattern, round 4): below
     (``driver_max_nodes``, ``driver_max_edges``) the degree count runs as
     driver numpy over the pulled narrow (a, b) / node-id columns — even
     the single 8-group exchange costs ~4 s of launch latency on a graph
     whose arithmetic is ~1 ms.  Identical semantics (one output row per
-    distinct id in nodes ∪ endpoints), asserted equal in tests.  The edge
-    table is materialized either way (it is consumed for the size probe
-    and then the count — the pagerank control-table discipline; 16 B/row).
+    distinct id in nodes ∪ endpoints), asserted equal in tests.  The
+    endpoint table is materialized either way (it is consumed for the size
+    probe and then the count — the pagerank control-table discipline;
+    16 B/edge).
     """
     import ray.data
 
     a, b = pair_cols
-    pairs_ds = pairs_ds.materialize()
-    n_edges = pairs_ds.count()
+
+    def endpoints(t: pa.Table) -> pa.Table:
+        return pa.table({"v": np.concatenate([_i64(t, a), _i64(t, b)])})
+
+    ends = pairs_ds.map_batches(endpoints, batch_format="pyarrow").materialize()
+    n_edges = ends.count() // 2
     n_nodes = nodes_ds.count()
     if n_nodes <= driver_max_nodes and n_edges <= driver_max_edges:
-        if n_edges:
-            ep = pairs_ds.select_columns([a, b]).to_pandas()
-            v = np.concatenate(
-                [ep[a].to_numpy().astype(np.int64), ep[b].to_numpy().astype(np.int64)]
-            )
-        else:
-            v = np.array([], np.int64)
+        v = ends.to_pandas()["v"].to_numpy(np.int64) if n_edges else np.array([], np.int64)
         nv = (
             nodes_ds.select_columns([node_col]).to_pandas()[node_col]
             .to_numpy()
@@ -125,31 +184,19 @@ def degree_stats(
             )
         )
 
-    def endpoints(t: pa.Table) -> pa.Table:
-        v = np.concatenate(
-            [
-                t.column(a).to_numpy(zero_copy_only=False).astype(np.int64),
-                t.column(b).to_numpy(zero_copy_only=False).astype(np.int64),
-            ]
-        )
-        return pa.table({"v": pa.array(v, pa.int64()),
-                         "one": pa.array(np.ones(len(v), np.int64))})
+    def node_ids(t: pa.Table) -> pa.Table:
+        return pa.table({"v": _i64(t, node_col)})
 
-    def zeros(t: pa.Table) -> pa.Table:
-        v = t.column(node_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"v": pa.array(v, pa.int64()),
-                         "one": pa.array(np.zeros(len(v), np.int64))})
+    def count(t: pa.Table) -> pa.Table:
+        # leg 0: one row per edge endpoint, leg 1: one row per node
+        v = _i64(t, "v")
+        uniq = np.unique(v)
+        e = v[t.column(LEG).to_numpy() == 0]
+        deg = np.bincount(np.searchsorted(uniq, e), minlength=len(uniq))
+        return pa.table({node_col: uniq, "degree": deg.astype(np.int64)})
 
-    def rename(t: pa.Table) -> pa.Table:
-        return pa.table({node_col: t.column("v"), "degree": t.column("sum(one)")})
-
-    return (
-        pairs_ds.map_batches(endpoints, batch_format="pyarrow")
-        .union(nodes_ds.map_batches(zeros, batch_format="pyarrow"))
-        .groupby("v")
-        .sum("one")
-        .map_batches(rename, batch_format="pyarrow", batch_size=None)
-    )
+    legs = [ends, nodes_ds.map_batches(node_ids, batch_format="pyarrow")]
+    return coarse_cogroup(legs, "v", count, _groups_for(n_nodes))
 
 
 def triangle_count(
@@ -316,48 +363,29 @@ def pagerank(
     if n == 0:
         return nodes_ds
     if num_groups is None:
-        num_groups = 8 if n < 1_000_000 else (64 if n < 100_000_000 else 256)
+        num_groups = _groups_for(n)
     base = scale // n
     tele = ((100 - d_pct) * base) // 100
 
-    def symmetrize(df: pd.DataFrame) -> pd.DataFrame:
-        s = np.concatenate([df[a].to_numpy(np.int64), df[b].to_numpy(np.int64)])
-        t = np.concatenate([df[b].to_numpy(np.int64), df[a].to_numpy(np.int64)])
-        return pd.DataFrame({"sg": coarse_group(s, num_groups), "s": s, "t": t})
+    def symmetrize(t: pa.Table) -> pa.Table:
+        # v is the edge's source: the column the source-side cogroup keys on
+        aa, bb = _i64(t, a), _i64(t, b)
+        return pa.table({"v": np.concatenate([aa, bb]), "t": np.concatenate([bb, aa])})
 
-    edges = pairs_ds.map_batches(symmetrize, batch_format="pandas")
+    # deg rides each edge row: every edge of a given source is in the
+    # source's group, so deg is the source's row count there
+    def attach_deg(t: pa.Table) -> pa.Table:
+        return t.append_column("deg", pa.array(_key_counts(_i64(t, "v"))))
 
-    # deg rides each edge row: within an sg group every edge of a given s
-    # is present (sg is a function of s), so deg is the run length
-    def attach_deg(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("s")
-        s = df["s"].to_numpy()
-        m = len(df)
-        if m == 0:
-            return pd.DataFrame(
-                {
-                    "sg": np.array([], np.int32),
-                    "s": np.array([], np.int64),
-                    "t": np.array([], np.int64),
-                    "deg": np.array([], np.int64),
-                }
-            )
-        start = np.concatenate(([True], s[1:] != s[:-1]))
-        run = np.cumsum(start) - 1
-        deg = np.bincount(run)[run]
-        out = df[["sg", "s", "t"]].copy()
-        out["deg"] = deg.astype(np.int64)
-        return out
-
-    edges = (
-        edges.groupby("sg").map_groups(attach_deg, batch_format="pandas").materialize()
-    )
+    edges = coarse_groupby(
+        pairs_ds.map_batches(symmetrize, batch_format="pyarrow"), "v", attach_deg, num_groups
+    ).materialize()
 
     n_edges = edges.count()
     if n <= driver_max_nodes and n_edges <= driver_max_edges:
         if n_edges:
             ep = edges.to_pandas()
-            s = ep["s"].to_numpy(np.int64)
+            s = ep["v"].to_numpy(np.int64)
             t = ep["t"].to_numpy(np.int64)
             deg = ep["deg"].to_numpy(np.int64)
         else:  # empty blocks lose their schema on to_pandas
@@ -375,147 +403,39 @@ def pagerank(
                 # float64 and corrupt int64 sums beyond 2^53
                 np.add.at(csum, ti, r[si] // deg)
             r = tele + (d_pct * csum) // 100
-        # pandas block on purpose: matches the distributed path's block
-        # type for downstream unions (the dedup_components lesson)
-        return ray.data.from_pandas(
-            pd.DataFrame({node_col: nv, "rank": r})
-        )
+        # arrow block on purpose: matches the distributed path's block type
+        return ray.data.from_arrow(pa.table({node_col: nv, "rank": r}))
 
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[node_col].to_numpy(np.int64)
-        return pd.DataFrame(
-            {"vg": coarse_group(v, num_groups), "v": v, "r": np.full(len(v), base, np.int64)}
-        )
+    def node_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"v": _i64(t, node_col), "r": np.full(t.num_rows, base, np.int64)})
 
-    ranks = nodes_ds.map_batches(node_rows, batch_format="pandas").materialize()
+    def contrib(r_src: np.ndarray, edges: pa.Table) -> np.ndarray:
+        return r_src // _i64(edges, "deg")
 
+    def apply_group(t: pa.Table) -> pa.Table:
+        nv, csum = _pull_sums(t)
+        return pa.table({"v": nv, "r": tele + (d_pct * csum) // 100})
+
+    ranks = nodes_ds.map_batches(node_rows, batch_format="pyarrow").materialize()
     for _ in range(iters):
-        # --- join ranks onto edges by src (union + coarse-hash groupby) ---
-        def tag_rank_as_src(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "sg": df["vg"].to_numpy(np.int32),
-                    "s": df["v"].to_numpy(np.int64),
-                    "t": np.full(len(df), -1, np.int64),
-                    "deg": np.zeros(len(df), np.int64),
-                    "r": df["r"].to_numpy(np.int64),
-                    "is_edge": np.zeros(len(df), np.int8),
-                }
-            )
-
-        def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "sg": df["sg"].to_numpy(np.int32),
-                    "s": df["s"].to_numpy(np.int64),
-                    "t": df["t"].to_numpy(np.int64),
-                    "deg": df["deg"].to_numpy(np.int64),
-                    "r": np.zeros(len(df), np.int64),
-                    "is_edge": np.ones(len(df), np.int8),
-                }
-            )
-
-        def contrib_group(df: pd.DataFrame) -> pd.DataFrame:
-            """Rank-onto-edges lookup + per-destination PARTIAL sums in one
-            kernel (round 4, VERDICT r3): contributions leave the group
-            pre-summed per dst and already keyed/tagged for the node-side
-            shuffle, which eliminates the separate groupby(t).sum exchange —
-            pagerank now pays 2 all-to-alls per iteration instead of 3."""
-            ise = df["is_edge"].to_numpy() == 1
-            rv = df.loc[~ise].sort_values("s")
-            rs, rr = rv["s"].to_numpy(np.int64), rv["r"].to_numpy(np.int64)
-            es = df.loc[ise, "s"].to_numpy(np.int64)
-            if len(es) == 0 or len(rs) == 0:
-                return pd.DataFrame(
-                    {
-                        "vg": np.array([], np.int32),
-                        "v": np.array([], np.int64),
-                        "csum": np.array([], np.int64),
-                        "is_sum": np.array([], np.int8),
-                    }
-                )
-            pos = np.searchsorted(rs, es)
-            pos = np.minimum(pos, len(rs) - 1)
-            # every edge src is a node; assert-by-construction (gate tests)
-            r_src = rr[pos]
-            deg = df.loc[ise, "deg"].to_numpy(np.int64)
-            c = r_src // deg
-            t = df.loc[ise, "t"].to_numpy(np.int64)
-            order = np.argsort(t, kind="stable")
-            ts, cs = t[order], c[order]
-            starts = np.concatenate(([True], ts[1:] != ts[:-1]))
-            uniq_t = ts[starts]
-            part = np.add.reduceat(cs, np.flatnonzero(starts))  # int64-exact
-            return pd.DataFrame(
-                {
-                    "vg": coarse_group(uniq_t, num_groups),
-                    "v": uniq_t,
-                    "csum": part.astype(np.int64),
-                    "is_sum": np.ones(len(uniq_t), np.int8),
-                }
-            )
-
-        both = ranks.map_batches(tag_rank_as_src, batch_format="pandas").union(
-            edges.map_batches(tag_edge, batch_format="pandas")
-        )
-        sums = both.groupby("sg").map_groups(contrib_group, batch_format="pandas")
-
-        def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "vg": df["vg"].to_numpy(np.int32),
-                    "v": df["v"].to_numpy(np.int64),
-                    "csum": np.zeros(len(df), np.int64),
-                    "is_sum": np.zeros(len(df), np.int8),
-                }
-            )
-
-        def apply_group(df: pd.DataFrame) -> pd.DataFrame:
-            # contributions arrive as PARTIAL per-dst sums (one row per
-            # (src-group, dst)); finish the sum with a run-scan here —
-            # the work the dropped groupby(t).sum exchange used to do
-            iss = df["is_sum"].to_numpy() == 1
-            sv = df.loc[iss]
-            ss = sv["v"].to_numpy(np.int64)
-            sc = sv["csum"].to_numpy(np.int64)
-            order = np.argsort(ss, kind="stable")
-            ss, sc = ss[order], sc[order]
-            if len(ss):
-                starts = np.concatenate(([True], ss[1:] != ss[:-1]))
-                ss = ss[starts]
-                sc = np.add.reduceat(sc, np.flatnonzero(starts))
-            nv = df.loc[~iss, "v"].to_numpy(np.int64)
-            csum = np.zeros(len(nv), np.int64)
-            if len(ss):
-                pos = np.searchsorted(ss, nv)
-                ok = (pos < len(ss)) & (ss[np.minimum(pos, len(ss) - 1)] == nv)
-                csum[ok] = sc[np.minimum(pos, len(ss) - 1)][ok]
-            r = tele + (d_pct * csum) // 100
-            return pd.DataFrame(
-                {"vg": coarse_group(nv, num_groups), "v": nv, "r": r.astype(np.int64)}
-            )
-
+        # sums is materialized: the next cogroup reads its schema, which
+        # would otherwise run this exchange once more
+        sums = coarse_cogroup(
+            [ranks, edges], "v", lambda t: _push_sums(t, contrib), num_groups
+        ).materialize()
         # re-bound the control table's block count every iteration: the
-        # union + aggregate chain otherwise DOUBLES blocks per iteration
-        # (output partitions track input blocks through the shuffle), and
+        # shuffle chain otherwise DOUBLES blocks per iteration (output
+        # partitions track input blocks through the shuffle), and
         # per-block fixed cost turns 5 iterations into 2^5 overhead —
         # same discipline as the crawl frontier's per-round repartition
-        ranks = (
-            ranks.map_batches(tag_node, batch_format="pandas")
-            .union(sums)
-            .groupby("vg")
-            .map_groups(apply_group, batch_format="pandas")
-            .repartition(num_groups)
-            .materialize()
+        ranks = materialize_loop_state(
+            coarse_cogroup([ranks, sums], "v", apply_group, num_groups).repartition(num_groups)
         )
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {node_col: df["v"].to_numpy(np.int64), "rank": df["r"].to_numpy(np.int64)}
-        )
-        return out
-
-    return ranks.map_batches(finalize, batch_format="pandas")
+    return ranks.map_batches(
+        lambda t: pa.table({node_col: t.column("v"), "rank": t.column("r")}),
+        batch_format="pyarrow",
+    )
 
 
 def kcore(
@@ -536,13 +456,13 @@ def kcore(
     ``driver_max_edges`` deduped directed edges the peel runs as driver
     numpy (sorted alive array + searchsorted membership — exchanges
     would dominate small graphs); above it, a distributed loop of TWO
-    exchanges per round — (1) coarse s-hash groupby: per-source degree
-    is the run length (sg is a function of s), drop edges whose SOURCE
-    died, emit the alive-node table from the same kernel; (2) union
-    alive-nodes + surviving edges keyed by t-hash: drop edges whose
-    DESTINATION died.  Per-round shuffle volume ∝ surviving edges (3
-    ints/row) and blocks are re-bounded each round (the 2^k
-    block-compounding rule).  Terminates when a round removes nothing
+    ``coarse_groupby`` exchanges per round over the symmetric edge set —
+    (1) on the source: a node's degree is its row count (all its edges
+    share its group), and every edge is flagged with whether its SOURCE
+    survives; (2) on the target: by symmetry the row count is again the
+    node's degree, and an edge stays when both ends survive.  Per-round
+    shuffle volume ∝ the round's edges (2 ints and a flag per row) and
+    blocks are re-bounded each round (the 2^k block-compounding rule).  Terminates when a round removes nothing
     (count unchanged); peel depth is data-bounded (<= n rounds — a path
     graph at k=2 peels one layer per round from each end, the test's
     deep-iteration fixture)."""
@@ -550,30 +470,20 @@ def kcore(
 
     a, b = pair_cols
 
-    def symmetrize(df: pd.DataFrame) -> pd.DataFrame:
-        aa = df[a].to_numpy(np.int64)
-        bb = df[b].to_numpy(np.int64)
+    def symmetrize(t: pa.Table) -> pa.Table:
+        aa, bb = _i64(t, a), _i64(t, b)
         keep = aa != bb  # self-loops never count toward core degree
         aa, bb = aa[keep], bb[keep]
-        s = np.concatenate([aa, bb])
-        t = np.concatenate([bb, aa])
-        return pd.DataFrame({"s": s, "t": t})
+        return pa.table({"s": np.concatenate([aa, bb]), "t": np.concatenate([bb, aa])})
 
-    def dedup_group(df: pd.DataFrame) -> pd.DataFrame:
-        st = np.unique(
-            np.stack([df["s"].to_numpy(np.int64), df["t"].to_numpy(np.int64)], 1),
-            axis=0,
-        )
-        return pd.DataFrame({"s": st[:, 0], "t": st[:, 1]})
+    def dedup_group(t: pa.Table) -> pa.Table:
+        st = np.unique(np.stack([_i64(t, "s"), _i64(t, "t")], 1), axis=0)
+        return pa.table({"s": st[:, 0], "t": st[:, 1]})
 
     # dedup inside a coarse s-hash group: all copies of a directed edge
     # share s, hence the group
     edges = coarse_groupby(
-        pairs_ds.map_batches(symmetrize, batch_format="pandas"),
-        "s",
-        dedup_group,
-        64,
-        "pandas",
+        pairs_ds.map_batches(symmetrize, batch_format="pyarrow"), "s", dedup_group, 64
     ).materialize()
     n_edges = edges.count()
     if num_groups is None:
@@ -607,71 +517,23 @@ def kcore(
         return ray.data.from_pandas(pd.DataFrame({"v": members.astype(np.int64)}))
 
     # ---- distributed peel ----
-    edges = edges.map_batches(
-        lambda d: d[["s", "t"]].assign(sg=coarse_group(d["s"], num_groups)),
-        batch_format="pandas",
-    ).repartition(num_groups).materialize()
+    edges = edges.repartition(num_groups).materialize()
     prev = n_edges
 
-    def degree_filter(df: pd.DataFrame) -> pd.DataFrame:
-        """Exchange-1 kernel: degree = s-run length; drop dead-source
-        edges; emit surviving edges (is_edge=1, keyed by t-hash for the
-        next exchange) AND the alive-node table (is_edge=0)."""
-        df = df.sort_values("s")
-        s = df["s"].to_numpy(np.int64)
-        t = df["t"].to_numpy(np.int64)
-        if not len(s):
-            return pd.DataFrame(
-                {
-                    "tg": np.array([], np.int32),
-                    "s": np.array([], np.int64),
-                    "t": np.array([], np.int64),
-                    "is_edge": np.array([], np.int8),
-                }
-            )
-        start = np.concatenate(([True], s[1:] != s[:-1]))
-        run = np.cumsum(start) - 1
-        deg = np.bincount(run)[run]
-        keep = deg >= k
-        alive = np.unique(s[keep])
-        return pd.DataFrame(
-            {
-                "tg": np.concatenate(
-                    [coarse_group(t[keep], num_groups), coarse_group(alive, num_groups)]
-                ).astype(np.int32),
-                "s": np.concatenate([s[keep], alive]),
-                "t": np.concatenate([t[keep], np.full(len(alive), -1, np.int64)]),
-                "is_edge": np.concatenate(
-                    [np.ones(int(keep.sum()), np.int8), np.zeros(len(alive), np.int8)]
-                ),
-            }
-        )
+    def flag_source(t: pa.Table) -> pa.Table:
+        alive = _key_counts(_i64(t, "s")) >= k
+        return t.select(["s", "t"]).append_column("alive_s", pa.array(alive))
 
-    def dest_filter(df: pd.DataFrame) -> pd.DataFrame:
-        """Exchange-2 kernel: drop edges whose destination is not in the
-        alive table; re-key survivors by s-hash for the next round."""
-        ise = df["is_edge"].to_numpy() == 1
-        alive = np.sort(df.loc[~ise, "s"].to_numpy(np.int64))
-        es = df.loc[ise, "s"].to_numpy(np.int64)
-        et = df.loc[ise, "t"].to_numpy(np.int64)
-        if len(alive) and len(es):
-            pos = np.searchsorted(alive, et)
-            ok = (pos < len(alive)) & (alive[np.minimum(pos, len(alive) - 1)] == et)
-            es, et = es[ok], et[ok]
-        else:
-            es = et = np.array([], np.int64)
-        return pd.DataFrame(
-            {"sg": coarse_group(es, num_groups), "s": es, "t": et}
-        )
+    def peel(t: pa.Table) -> pa.Table:
+        keep = t.column("alive_s").to_numpy(zero_copy_only=False) & (_key_counts(_i64(t, "t")) >= k)
+        return t.select(["s", "t"]).filter(pa.array(keep))
 
     for _ in range(max_iters):
         if prev == 0:
             break
+        flagged = coarse_groupby(edges, "s", flag_source, num_groups)
         edges = (
-            edges.groupby("sg")
-            .map_groups(degree_filter, batch_format="pandas")
-            .groupby("tg")
-            .map_groups(dest_filter, batch_format="pandas")
+            coarse_groupby(flagged, "t", peel, num_groups)
             .repartition(num_groups)
             .materialize()
         )
@@ -680,11 +542,10 @@ def kcore(
             break
         prev = cur
 
-    def members_out(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"v": np.unique(df["s"].to_numpy(np.int64))})
+    def members_out(t: pa.Table) -> pa.Table:
+        return pa.table({"v": np.unique(_i64(t, "s"))})
 
-    # one row per member: every edge of a source lives in one sg group
-    return edges.groupby("sg").map_groups(members_out, batch_format="pandas")
+    return coarse_groupby(edges, "s", members_out, num_groups)
 
 
 def bfs_depth(
@@ -718,12 +579,12 @@ def bfs_depth(
     exchange's run-scan emits one state row per distinct v by
     construction.
 
-    Scale shape: per iteration TWO coarse-hash exchanges (the pagerank
-    discipline) — (1) frontier ∪ edges keyed by src: inside each group a
-    sorted-membership scan emits the group's DISTINCT newly-touched
-    targets (candidates leave pre-deduped, ∝ frontier boundary, never
-    ∝ edges), (2) state ∪ candidates keyed by node: a run-scan keeps the
-    first (minimum) depth per node.  State is (v, d) — 2 ints/node,
+    Scale shape: per iteration TWO ``coarse_cogroup`` exchanges (the
+    pagerank discipline) — (1) frontier and edges on the source: inside
+    each group a sorted-membership scan emits the group's DISTINCT
+    touched targets (candidates leave pre-deduped, ∝ frontier boundary,
+    never ∝ edges), (2) state and candidates on the node: an unreached
+    node with a candidate gets depth k.  State is (v, d) — 2 ints/node,
     re-repartitioned and materialized per iteration (the 2^k block rule).
     Early exit when an iteration reaches nobody new.
 
@@ -741,15 +602,15 @@ def bfs_depth(
     if n == 0:
         return nodes_ds
     if num_groups is None:
-        num_groups = 8 if n < 1_000_000 else (64 if n < 100_000_000 else 256)
+        num_groups = _groups_for(n)
     seed_arr = np.asarray(sorted(set(int(s) for s in seeds)), np.int64)
 
-    def symmetrize(df: pd.DataFrame) -> pd.DataFrame:
-        s = np.concatenate([df[a].to_numpy(np.int64), df[b].to_numpy(np.int64)])
-        t = np.concatenate([df[b].to_numpy(np.int64), df[a].to_numpy(np.int64)])
-        return pd.DataFrame({"sg": coarse_group(s, num_groups), "s": s, "t": t})
+    def symmetrize(t: pa.Table) -> pa.Table:
+        # v is the edge's source: the column the frontier cogroup keys on
+        aa, bb = _i64(t, a), _i64(t, b)
+        return pa.table({"v": np.concatenate([aa, bb]), "t": np.concatenate([bb, aa])})
 
-    edges = pairs_ds.map_batches(symmetrize, batch_format="pandas").materialize()
+    edges = pairs_ds.map_batches(symmetrize, batch_format="pyarrow").materialize()
     n_edges = edges.count()
 
     def _arrow_out(v: np.ndarray, d: np.ndarray) -> pa.Table:
@@ -763,7 +624,7 @@ def bfs_depth(
     if n <= driver_max_nodes and n_edges <= driver_max_edges:
         if n_edges:
             ep = edges.to_pandas()
-            s = ep["s"].to_numpy(np.int64)
+            s = ep["v"].to_numpy(np.int64)
             t = ep["t"].to_numpy(np.int64)
         else:
             s = t = np.array([], np.int64)
@@ -791,123 +652,56 @@ def bfs_depth(
             frontier[newly] = True
         return ray.data.from_arrow(_arrow_out(nv, d))
 
-    # --- distributed loop ---
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[node_col].to_numpy(np.int64)
-        d = np.where(np.isin(v, seed_arr), 0, -1).astype(np.int64)
-        return pd.DataFrame({"vg": coarse_group(v, num_groups), "v": v, "d": d})
+    # --- distributed loop: state (v, d), d = -1 while unreached ---
+    def node_rows(t: pa.Table) -> pa.Table:
+        v = _i64(t, node_col)
+        return pa.table({"v": v, "d": np.where(np.isin(v, seed_arr), 0, -1).astype(np.int64)})
 
-    state = nodes_ds.map_batches(node_rows, batch_format="pandas").materialize()
+    def at_depth(depth: int):
+        def fn(t: pa.Table) -> pa.Table:
+            return t.filter(pc.equal(t.column("d"), depth)).select(["v"])
 
+        return fn
+
+    def expand(t: pa.Table) -> pa.Table:
+        # leg 0: frontier nodes, leg 1: edges
+        front, es = _split(t)
+        if front.num_rows == 0 or es.num_rows == 0:  # a one-sided group
+            return pa.table({"v": pa.array([], pa.int64())})
+        _, hit = key_index(_i64(front, "v"), _i64(es, "v"))
+        return pa.table({"v": np.unique(_i64(es, "t")[hit])})
+
+    def update(k: int):
+        def fn(t: pa.Table) -> pa.Table:
+            # leg 0: state, leg 1: candidates.  One row per distinct state
+            # node (nodes_ds may repeat a node); candidate-only ids (an
+            # endpoint absent from nodes_ds) are dropped, so the row set
+            # stays exactly the node table
+            state, cands = _split(t)
+            uv, inv = np.unique(_i64(state, "v"), return_inverse=True)
+            d = np.full(len(uv), -1, np.int64)
+            np.maximum.at(d, inv, _i64(state, "d"))
+            d[(d < 0) & np.isin(uv, _i64(cands, "v"))] = k
+            return pa.table({"v": uv, "d": d})
+
+        return fn
+
+    state = nodes_ds.map_batches(node_rows, batch_format="pyarrow").materialize()
+    frontier = state.map_batches(at_depth(0), batch_format="pyarrow").materialize()
     for k in range(1, max_iters + 1):
-        front_d = k - 1
-
-        # (1) frontier ∪ edges keyed by src → distinct touched targets
-        def tag_frontier(df: pd.DataFrame, _fd=front_d) -> pd.DataFrame:
-            f = df.loc[df["d"].to_numpy() == _fd]
-            v = f["v"].to_numpy(np.int64)
-            return pd.DataFrame(
-                {
-                    "sg": coarse_group(v, num_groups),
-                    "s": v,
-                    "t": np.full(len(v), -1, np.int64),
-                    "is_edge": np.zeros(len(v), np.int8),
-                }
-            )
-
-        def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "sg": df["sg"].to_numpy(np.int32),
-                    "s": df["s"].to_numpy(np.int64),
-                    "t": df["t"].to_numpy(np.int64),
-                    "is_edge": np.ones(len(df), np.int8),
-                }
-            )
-
-        def expand(df: pd.DataFrame) -> pd.DataFrame:
-            ise = df["is_edge"].to_numpy() == 1
-            fs = np.unique(df.loc[~ise, "s"].to_numpy(np.int64))
-            es = df.loc[ise, "s"].to_numpy(np.int64)
-            if len(fs) == 0 or len(es) == 0:
-                return pd.DataFrame(
-                    {
-                        "vg": np.array([], np.int32),
-                        "v": np.array([], np.int64),
-                        "d": np.array([], np.int64),
-                    }
-                )
-            pos = np.searchsorted(fs, es)
-            hit = (pos < len(fs)) & (fs[np.minimum(pos, len(fs) - 1)] == es)
-            tt = np.unique(df.loc[ise, "t"].to_numpy(np.int64)[hit])
-            return pd.DataFrame(
-                {
-                    "vg": coarse_group(tt, num_groups),
-                    "v": tt,
-                    "d": np.full(len(tt), -2, np.int64),  # candidate tag
-                }
-            )
-
-        cands = (
-            state.map_batches(tag_frontier, batch_format="pandas")
-            .union(edges.map_batches(tag_edge, batch_format="pandas"))
-            .groupby("sg")
-            .map_groups(expand, batch_format="pandas")
+        # cands is materialized: the next cogroup reads its schema, which
+        # would otherwise run this exchange once more
+        cands = coarse_cogroup([frontier, edges], "v", expand, num_groups).materialize()
+        state = materialize_loop_state(
+            coarse_cogroup([state, cands], "v", update(k), num_groups).repartition(num_groups)
         )
-
-        # (2) state ∪ candidates keyed by node → first-reach update
-        def update(df: pd.DataFrame, _k=k) -> pd.DataFrame:
-            v = df["v"].to_numpy(np.int64)
-            d = df["d"].to_numpy(np.int64)
-            order = np.argsort(v, kind="stable")
-            v, d = v[order], d[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], v[1:] != v[:-1]))
-            ) if len(v) else np.array([], np.int64)
-            uv = v[starts]
-            # per run: max existing depth (>=0 wins over -1/-2 sentinels);
-            # if only sentinels, -2 present means newly reached at _k
-            best = np.full(len(uv), -1, np.int64)
-            run_max = np.maximum.reduceat(d, starts) if len(v) else best
-            run_min = np.minimum.reduceat(d, starts) if len(v) else best
-            reached = run_max >= 0
-            best[reached] = run_max[reached]
-            # newly reached = has a state row (-1 present => run_max == -1)
-            # AND a candidate row (-2 present => run_min == -2); candidate-
-            # only runs (endpoint absent from nodes_ds) are dropped so the
-            # output row set stays exactly the node table
-            newly = (~reached) & (run_min == -2) & (run_max == -1)
-            best[newly] = _k
-            keep = run_max >= -1
-            return pd.DataFrame(
-                {
-                    "vg": coarse_group(uv[keep], num_groups),
-                    "v": uv[keep],
-                    "d": best[keep],
-                }
-            )
-
-        state = (
-            state.union(cands)
-            .groupby("vg")
-            .map_groups(update, batch_format="pandas")
-            .repartition(num_groups)
-            .materialize()
-        )
-
-        newly_reached = state.map_batches(
-            lambda df, _k=k: pd.DataFrame(
-                {"n": [int((df["d"].to_numpy() == _k).sum())]}
-            ),
-            batch_format="pandas",
-        ).to_pandas()["n"].sum()
-        if newly_reached == 0:
+        frontier = state.map_batches(at_depth(k), batch_format="pyarrow").materialize()
+        if frontier.count() == 0:
             break
 
-    def finalize(df: pd.DataFrame) -> pa.Table:
-        return _arrow_out(df["v"].to_numpy(np.int64), df["d"].to_numpy(np.int64))
-
-    return state.map_batches(finalize, batch_format="pandas")
+    return state.map_batches(
+        lambda t: _arrow_out(_i64(t, "v"), _i64(t, "d")), batch_format="pyarrow"
+    )
 
 
 def common_neighbors_topk(
@@ -940,7 +734,7 @@ def common_neighbors_topk(
     ``max_degree`` — middle vertices whose (deduped, symmetrized) degree
     exceeds it are excluded from the middle role, the standard
     prefix-filter mitigation; a vertex's whole adjacency lives in one
-    coarse group (sg is a function of s), so the run length IS the
+    coarse group (the group is a function of s), so the run length IS the
     global degree and the cap is exact, mirrored in SQL as
     ``HAVING count(*) <= max_degree`` on the adjacency CTE.  This is
     what makes doc–term similarity joins usable: stopword-grade terms
@@ -1049,17 +843,7 @@ def common_neighbors_topk(
         return pd.DataFrame({"key": uk, "cnt": counts.astype(np.int64)})
 
     def finish_group(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["key"].to_numpy(np.int64)
-        cnt = df["cnt"].to_numpy(np.int64)
-        order = np.argsort(key, kind="stable")
-        key, cnt = key[order], cnt[order]
-        if len(key):
-            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            uk = key[starts]
-            total = np.add.reduceat(cnt, starts)
-        else:
-            uk = key
-            total = cnt
+        uk, total = _sum_by(df["key"].to_numpy(np.int64), df["cnt"].to_numpy(np.int64))
         x = uk >> np.int64(31)
         y = uk & np.int64((1 << 31) - 1)
         x, y, c = _topk(x, y, total)
@@ -1203,16 +987,7 @@ def membership_copair_topk(
         return pd.DataFrame({"key": uk, "cnt": counts.astype(np.int64)})
 
     def finish_group(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["key"].to_numpy(np.int64)
-        cnt = df["cnt"].to_numpy(np.int64)
-        order = np.argsort(key, kind="stable")
-        key, cnt = key[order], cnt[order]
-        if len(key):
-            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            uk = key[starts]
-            total = np.add.reduceat(cnt, starts)
-        else:
-            uk, total = key, cnt
+        uk, total = _sum_by(df["key"].to_numpy(np.int64), df["cnt"].to_numpy(np.int64))
         x, y, c = _topk(
             uk >> np.int64(31), uk & np.int64((1 << 31) - 1), total
         )
@@ -1276,12 +1051,12 @@ def hits(
     Size-adaptive like pagerank: below (driver_max_nodes,
     driver_max_edges) the recurrence runs as driver numpy over the pulled
     edge list (identical arithmetic, asserted equal in tests); above, a
-    pagerank-shaped distributed loop — per half-step, ONE src-hash
-    exchange joins values onto edges with per-destination PARTIAL sums
-    inside the group, ONE node-hash exchange finishes them (2 coarse
-    all-to-alls per half, 4 per iteration; shuffle volume is 2-3 int64s
-    per row, never payloads), plus a tiny per-block partial-sum driver
-    reduce (num_groups rows) for each global normalizer.
+    pagerank-shaped distributed loop — per half-step, ONE cogroup of
+    values and edges on the lookup endpoint emits per-destination PARTIAL
+    sums, ONE cogroup of values and sums on the node finishes them (2
+    coarse all-to-alls per half, 4 per iteration; shuffle volume is 2-3
+    int64s per row, never payloads), plus a tiny per-block partial-sum
+    driver reduce (num_groups rows) for each global normalizer.
     """
     import ray.data
 
@@ -1290,27 +1065,19 @@ def hits(
     if n == 0:
         return nodes_ds
     if num_groups is None:
-        num_groups = 8 if n < 1_000_000 else (64 if n < 100_000_000 else 256)
+        num_groups = _groups_for(n)
 
-    def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[a_col].to_numpy(np.int64)
-        t = df[b_col].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "sg": coarse_group(s, num_groups),
-                "tg": coarse_group(t, num_groups),
-                "s": s,
-                "t": t,
-            }
-        )
+    def forward(t: pa.Table) -> pa.Table:
+        # v is the endpoint whose value the edge carries: the cogroup key
+        return pa.table({"v": _i64(t, a_col), "t": _i64(t, b_col)})
 
-    edges = pairs_ds.map_batches(edge_rows, batch_format="pandas").materialize()
+    edges = pairs_ds.map_batches(forward, batch_format="pyarrow").materialize()
     n_edges = edges.count()
 
     if n <= driver_max_nodes and n_edges <= driver_max_edges:
         if n_edges:
             ep = edges.to_pandas()
-            s = ep["s"].to_numpy(np.int64)
+            s = ep["v"].to_numpy(np.int64)
             t = ep["t"].to_numpy(np.int64)
         else:  # empty blocks lose their schema on to_pandas
             s = t = np.array([], np.int64)
@@ -1332,170 +1099,63 @@ def hits(
             if len(s):
                 np.add.at(hr, si, aa[ti])
             h = hr // max(1, int(hr.sum()) // scale)
-        return ray.data.from_pandas(
-            pd.DataFrame({node_col: nv, "hub": h, "auth": aa})
-        )
+        return ray.data.from_arrow(pa.table({node_col: nv, "hub": h, "auth": aa}))
 
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[node_col].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "vg": coarse_group(v, num_groups),
-                "v": v,
-                "r": np.full(len(v), scale, np.int64),
-            }
-        )
+    # the backward half looks values up at the target: the reversed edges
+    backward = edges.map_batches(
+        lambda t: pa.table({"v": t.column("t"), "t": t.column("v")}), batch_format="pyarrow"
+    ).materialize()
+    hvals = nodes_ds.map_batches(
+        lambda t: pa.table({"v": _i64(t, node_col), "r": np.full(t.num_rows, scale, np.int64)}),
+        batch_format="pyarrow",
+    ).materialize()
 
-    hvals = nodes_ds.map_batches(node_rows, batch_format="pandas").materialize()
+    def finish(t: pa.Table) -> pa.Table:
+        nv, raw = _pull_sums(t)
+        return pa.table({"v": nv, "r": raw})
 
-    def half(vals, src_field: str, src_g_field: str, dst_field: str):
-        """raw(u) = sum of vals.r over edges whose ``src_field`` endpoint
-        carries the value (the lookup side), accumulated at the
-        ``dst_field`` endpoint — then globally normalized.  vals doubles
-        as the node universe (it is node-aligned by construction)."""
-
-        def tag_v(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "g": df["vg"].to_numpy(np.int32),
-                    "k": df["v"].to_numpy(np.int64),
-                    "o": np.full(len(df), -1, np.int64),
-                    "x": df["r"].to_numpy(np.int64),
-                    "is_edge": np.zeros(len(df), np.int8),
-                }
-            )
-
-        def tag_e(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "g": df[src_g_field].to_numpy(np.int32),
-                    "k": df[src_field].to_numpy(np.int64),
-                    "o": df[dst_field].to_numpy(np.int64),
-                    "x": np.zeros(len(df), np.int64),
-                    "is_edge": np.ones(len(df), np.int8),
-                }
-            )
-
-        def contrib_group(df: pd.DataFrame) -> pd.DataFrame:
-            # value-onto-edges lookup + per-destination PARTIAL sums in
-            # one kernel (the pagerank contrib_group shape)
-            ise = df["is_edge"].to_numpy() == 1
-            rv = df.loc[~ise].sort_values("k")
-            rs = rv["k"].to_numpy(np.int64)
-            rr = rv["x"].to_numpy(np.int64)
-            es = df.loc[ise, "k"].to_numpy(np.int64)
-            if len(es) == 0 or len(rs) == 0:
-                return pd.DataFrame(
-                    {
-                        "vg": np.array([], np.int32),
-                        "v": np.array([], np.int64),
-                        "csum": np.array([], np.int64),
-                        "is_sum": np.array([], np.int8),
-                    }
-                )
-            pos = np.minimum(np.searchsorted(rs, es), len(rs) - 1)
-            x_src = rr[pos]
-            o = df.loc[ise, "o"].to_numpy(np.int64)
-            order = np.argsort(o, kind="stable")
-            os_, xs = o[order], x_src[order]
-            starts = np.concatenate(([True], os_[1:] != os_[:-1]))
-            uniq = os_[starts]
-            part = np.add.reduceat(xs, np.flatnonzero(starts))
-            return pd.DataFrame(
-                {
-                    "vg": coarse_group(uniq, num_groups),
-                    "v": uniq,
-                    "csum": part.astype(np.int64),
-                    "is_sum": np.ones(len(uniq), np.int8),
-                }
-            )
-
-        def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "vg": df["vg"].to_numpy(np.int32),
-                    "v": df["v"].to_numpy(np.int64),
-                    "csum": np.zeros(len(df), np.int64),
-                    "is_sum": np.zeros(len(df), np.int8),
-                }
-            )
-
-        def finish_group(df: pd.DataFrame) -> pd.DataFrame:
-            iss = df["is_sum"].to_numpy() == 1
-            sv = df.loc[iss]
-            ss = sv["v"].to_numpy(np.int64)
-            sc = sv["csum"].to_numpy(np.int64)
-            order = np.argsort(ss, kind="stable")
-            ss, sc = ss[order], sc[order]
-            if len(ss):
-                starts = np.concatenate(([True], ss[1:] != ss[:-1]))
-                ss = ss[starts]
-                sc = np.add.reduceat(sc, np.flatnonzero(starts))
-            nv_ = df.loc[~iss, "v"].to_numpy(np.int64)
-            raw = np.zeros(len(nv_), np.int64)
-            if len(ss):
-                pos = np.minimum(np.searchsorted(ss, nv_), len(ss) - 1)
-                ok = ss[pos] == nv_
-                raw[ok] = sc[pos][ok]
-            return pd.DataFrame(
-                {
-                    "vg": coarse_group(nv_, num_groups),
-                    "v": nv_,
-                    "raw": raw,
-                }
-            )
-
-        both = vals.map_batches(tag_v, batch_format="pandas").union(
-            edges.map_batches(tag_e, batch_format="pandas")
-        )
-        sums = both.groupby("g").map_groups(contrib_group, batch_format="pandas")
+    def half(vals, oriented):
+        """raw(u) = sum of vals.r over the ``oriented`` edges (v -> t),
+        looked up at v and accumulated at t — then globally normalized.
+        vals doubles as the node universe (it is node-aligned by
+        construction)."""
+        # sums is materialized: the next cogroup reads its schema, which
+        # would otherwise run this exchange once more
+        sums = coarse_cogroup(
+            [vals, oriented], "v", lambda t: _push_sums(t, lambda x, _: x), num_groups
+        ).materialize()
         raw_ds = (
-            vals.map_batches(tag_node, batch_format="pandas")
-            .union(sums)
-            .groupby("vg")
-            .map_groups(finish_group, batch_format="pandas")
+            coarse_cogroup([vals, sums], "v", finish, num_groups)
             .repartition(num_groups)
             .materialize()
         )
         # global normalizer: per-block partial sums -> num_groups-row
         # driver reduce (bounded; never row-proportional)
         parts = raw_ds.map_batches(
-            lambda df: pd.DataFrame(
-                {"tt": [int(df["raw"].to_numpy(np.int64).sum())]}
-            ),
-            batch_format="pandas",
+            lambda t: pa.table({"tt": [int(_i64(t, "r").sum())]}), batch_format="pyarrow"
         ).take_all()
-        tot = sum(int(r["tt"]) for r in parts)
-        dnorm = max(1, tot // scale)
-
-        def normalize(df: pd.DataFrame, _d=dnorm) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "vg": df["vg"].to_numpy(np.int32),
-                    "v": df["v"].to_numpy(np.int64),
-                    "r": df["raw"].to_numpy(np.int64) // _d,
-                }
+        dnorm = max(1, sum(int(r["tt"]) for r in parts) // scale)
+        return materialize_loop_state(
+            raw_ds.map_batches(
+                lambda t: pa.table({"v": t.column("v"), "r": _i64(t, "r") // dnorm}),
+                batch_format="pyarrow",
             )
-
-        return raw_ds.map_batches(normalize, batch_format="pandas").materialize()
+        )
 
     avals = None
     for _ in range(iters):
-        avals = half(hvals, "s", "sg", "t")
-        hvals = half(avals, "t", "tg", "s")
+        avals = half(hvals, edges)
+        hvals = half(avals, backward)
 
     def merge_group(t: pa.Table) -> pa.Table:
         # leg 0: hub values, leg 1: authority values — node-aligned copies
         # of the same universe
-        leg = t.column(LEG).to_numpy()
-        v = t.column("v").to_numpy()
-        r = t.column("r").to_numpy()
-        hv, hr, av, ar = v[leg == 0], r[leg == 0], v[leg == 1], r[leg == 1]
-        ho, ao = np.argsort(hv), np.argsort(av)
-        return pa.table({node_col: hv[ho], "hub": hr[ho], "auth": ar[ao]})
+        hub, auth = _split(t)
+        ho, ao = np.argsort(_i64(hub, "v")), np.argsort(_i64(auth, "v"))
+        return pa.table({node_col: _i64(hub, "v")[ho], "hub": _i64(hub, "r")[ho],
+                         "auth": _i64(auth, "r")[ao]})
 
-    legs = [vals.select_columns(["v", "r"]) for vals in (hvals, avals)]
-    return coarse_cogroup(legs, "v", merge_group, num_groups)
+    return coarse_cogroup([hvals, avals], "v", merge_group, num_groups)
 
 
 def resolve_chains(
@@ -1517,16 +1177,15 @@ def resolve_chains(
     length L resolve in ceil(log2 L) rounds of ONE coarse-hash exchange
     each (vs L rounds of naive following) — at web scale redirect chains
     are short but number millions, and the exchange ships 3 int64s/row.
-    Both copies of the state (providers keyed by own id, requesters
-    keyed by their ptr) co-locate in a coarse hash group; lookups are a
-    sorted-run searchsorted.  Rounds stop when no pointer advanced
-    (tiny global sum per round).
+    Each round cogroups two copies of the state on ``id``: providers as
+    they are, requesters with their ptr in the ``id`` column (their own
+    id moves to ``src``); lookups are a sorted-run searchsorted.  Rounds
+    stop when no pointer advanced (tiny global sum per round).
 
     Size-adaptive like pagerank: below ``driver_max_rows`` the identical
     doubling runs as driver numpy (the exchange latency dominates small
     forests); tests force the distributed path and assert equality.
-    All-pandas blocks throughout the union + groupby chain (the
-    dedup_components block-type rule).
+    Arrow blocks throughout: ids may pass 2^53 (xxhash-derived).
     """
     import ray.data
 
@@ -1534,19 +1193,19 @@ def resolve_chains(
     if n == 0:
         return ds
 
-    def init_state(t: pa.Table) -> pd.DataFrame:
-        # Arrow in, pandas out: a nullable int64 next column coerces to
-        # float64 under pandas batch format and corrupts ids > 2^53
-        # (xxhash-derived ids) — read the null mask from the Arrow column
-        # and fill BEFORE any pandas conversion (the repartition_join rule).
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    def init_state(t: pa.Table) -> pa.Table:
+        # a nullable int64 next column coerces to float64 under pandas
+        # batch format and corrupts ids > 2^53 (xxhash-derived ids) — read
+        # the null mask from the Arrow column and fill (the
+        # repartition_join rule)
+        ids = _i64(t, id_col)
         # all-null blocks arrive with a null-typed column; cast first
         nxt_col = t.column(next_col).cast(pa.int64())
-        isna = pa.compute.is_null(nxt_col).to_numpy(zero_copy_only=False)
+        isna = pc.is_null(nxt_col).to_numpy(zero_copy_only=False)
         nxt = nxt_col.fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-        ptr = np.where(isna, ids, nxt)
-        dist = (~isna).astype(np.int64)
-        return pd.DataFrame({"id": ids, "ptr": ptr, "dist": dist})
+        return pa.table(
+            {"id": ids, "ptr": np.where(isna, ids, nxt), "dist": (~isna).astype(np.int64)}
+        )
 
     state = ds.map_batches(init_state, batch_format="pyarrow")
 
@@ -1571,88 +1230,46 @@ def resolve_chains(
             pd.DataFrame({id_col: ids, "root_id": ptr, "depth": dist})
         )
 
-    state = state.map_batches(
-        lambda df: df.assign(g=coarse_group(df["id"].to_numpy(np.int64), num_groups)),
-        batch_format="pandas",
-    ).repartition(num_groups).materialize()
+    state = state.repartition(num_groups).materialize()
 
-    def tag_provider(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "g": df["g"].to_numpy(np.int32),
-                "id": df["id"].to_numpy(np.int64),
-                "ptr": df["ptr"].to_numpy(np.int64),
-                "dist": df["dist"].to_numpy(np.int64),
-                "role": np.zeros(len(df), np.int8),
-            }
-        )
+    def as_requester(t: pa.Table) -> pa.Table:
+        return pa.table({"src": t.column("id"), "id": t.column("ptr"), "dist": t.column("dist")})
 
-    def tag_requester(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def double_group(t: pa.Table) -> pa.Table:
+        # leg 0: providers (id, ptr, dist), leg 1: requesters (src, id = their ptr, dist)
+        prov, req = _split(t)
+        if req.num_rows == 0:  # a one-sided group
+            return pa.table({c: pa.array([], pa.int64()) for c in ("id", "ptr", "dist", "moved")})
+        pos, ok = key_index(_i64(prov, "id"), _i64(req, "id"))
+        assert ok.all(), "dangling pointer target in hash group"
+        tdist = _i64(prov, "dist")[pos]
+        return pa.table(
             {
-                "g": coarse_group(df["ptr"].to_numpy(np.int64), num_groups),
-                "id": df["id"].to_numpy(np.int64),
-                "ptr": df["ptr"].to_numpy(np.int64),
-                "dist": df["dist"].to_numpy(np.int64),
-                "role": np.ones(len(df), np.int8),
-            }
-        )
-
-    def double_group(df: pd.DataFrame) -> pd.DataFrame:
-        prov = df[df["role"].to_numpy() == 0].sort_values("id")
-        req = df[df["role"].to_numpy() == 1]
-        pid = prov["id"].to_numpy(np.int64)
-        pptr = prov["ptr"].to_numpy(np.int64)
-        pdist = prov["dist"].to_numpy(np.int64)
-        rptr = req["ptr"].to_numpy(np.int64)
-        if len(req) == 0:
-            return pd.DataFrame(
-                {
-                    "g": np.array([], np.int32),
-                    "id": np.array([], np.int64),
-                    "ptr": np.array([], np.int64),
-                    "dist": np.array([], np.int64),
-                    "moved": np.array([], np.int64),
-                }
-            )
-        pos = np.searchsorted(pid, rptr)
-        pos = np.minimum(pos, max(len(pid) - 1, 0))
-        ok = len(pid) > 0 and np.array_equal(pid[pos], rptr)
-        assert ok, "dangling pointer target in hash group"
-        tdist = pdist[pos]
-        new_ptr = pptr[pos]
-        rid = req["id"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "g": coarse_group(rid, num_groups),
-                "id": rid,
-                "ptr": new_ptr,
-                "dist": req["dist"].to_numpy(np.int64) + tdist,
+                "id": _i64(req, "src"),
+                "ptr": _i64(prov, "ptr")[pos],
+                "dist": _i64(req, "dist") + tdist,
                 "moved": (tdist > 0).astype(np.int64),
             }
         )
 
     while True:
-        both = state.map_batches(tag_provider, batch_format="pandas").union(
-            state.map_batches(tag_requester, batch_format="pandas")
-        )
         state = (
-            both.groupby("g")
-            .map_groups(double_group, batch_format="pandas")
+            coarse_cogroup(
+                [state, state.map_batches(as_requester, batch_format="pyarrow")],
+                "id",
+                double_group,
+                num_groups,
+            )
             .repartition(num_groups)
             .materialize()
         )
         if state.sum("moved") == 0:
             break
-        state = state.drop_columns(["moved"]).materialize()
+        state = materialize_loop_state(state.drop_columns(["moved"]))
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                id_col: df["id"].to_numpy(np.int64),
-                "root_id": df["ptr"].to_numpy(np.int64),
-                "depth": df["dist"].to_numpy(np.int64),
-            }
-        )
-
-    return state.map_batches(finalize, batch_format="pandas")
+    return state.map_batches(
+        lambda t: pa.table(
+            {id_col: t.column("id"), "root_id": t.column("ptr"), "depth": t.column("dist")}
+        ),
+        batch_format="pyarrow",
+    )

@@ -123,13 +123,7 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
             }
         )
 
-    drop_schema = pa.schema(
-        [pa.field("doc_id", pa.int64()), pa.field("pos", pa.int64())]
-    )
-
     def dropped_in_group(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return drop_schema.empty_table()
         h = t.column("h").to_numpy(zero_copy_only=False)
         order = np.argsort(h, kind="stable")
         hs = h[order]

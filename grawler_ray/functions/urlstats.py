@@ -59,18 +59,7 @@ def url_template_stats(ds, url_col: str = "url", num_groups: int = 64):
             }
         )
 
-    out_schema = pa.schema(
-        [
-            pa.field("host", pa.string()),
-            pa.field("n_urls", pa.int64()),
-            pa.field("n_templates", pa.int64()),
-            pa.field("trap_score", pa.float64()),
-        ]
-    )
-
     def combine(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         df = (
             t.select(["host", "tmpl", "cnt"])
             .to_pandas()
@@ -142,11 +131,7 @@ def apportion_budget(ds, key_col: str = "source", budget: int = 1000,
             }
         )
 
-    w_schema = pa.schema([pa.field(key_col, pa.string()), pa.field("w", pa.int64())])
-
     def combine(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return w_schema.empty_table()
         g = (
             t.select([key_col, "w"])
             .to_pandas()
@@ -189,14 +174,6 @@ def apportion_budget(ds, key_col: str = "source", budget: int = 1000,
     ranked = q.sort(["rem", key_col], descending=[True, False]).materialize()
 
     def block_meta(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "first_key": pa.array([], pa.string()),
-                    "first_rem": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         return pa.table(
             {
                 "first_key": t.column(key_col).slice(0, 1),
@@ -214,17 +191,7 @@ def apportion_budget(ds, key_col: str = "source", budget: int = 1000,
     offsets = np.concatenate(([0], meta["n"].to_numpy(np.int64).cumsum()[:-1]))
     off_ref = ray.put({k: int(o) for k, o in zip(meta["first_key"], offsets)})
 
-    out_schema = pa.schema(
-        [
-            pa.field(key_col, pa.string()),
-            pa.field("weight", pa.int64()),
-            pa.field("alloc", pa.int64()),
-        ]
-    )
-
     def attach(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         off = ray.get(off_ref)[t.column(key_col)[0].as_py()]
         idx = off + np.arange(t.num_rows, dtype=np.int64)
         base = t.column("base").to_numpy(zero_copy_only=False)
@@ -272,8 +239,6 @@ def top_per_group_alloc(ds, alloc: dict, key_col: str = "host",
 
     def pick(t: pa.Table) -> pa.Table:
         sch = t.schema.append(pa.field("rnk", pa.int64()))
-        if t.num_rows == 0:
-            return sch.empty_table()
         import ray as _ray
 
         am = _ray.get(alloc_ref)
@@ -317,18 +282,7 @@ def anchor_topk(pages_ds, k: int = 3, num_groups: int = 256,
     """
     pairs = _anchor_pairs(pages_ds, url_col, html_col)
 
-    out_schema = pa.schema(
-        [
-            pa.field("url", pa.string()),
-            pa.field("anchor", pa.string()),
-            pa.field("n_refs", pa.int64()),
-            pa.field("rank", pa.int64()),
-        ]
-    )
-
     def combine(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         df = (
             t.select(["target", "anchor", "cnt"])
             .to_pandas()
@@ -428,18 +382,8 @@ def anchor_relevance(pages_ds, terms, num_groups: int = 256,
     pat = re.compile(
         r"\b(?:" + "|".join(re.escape(t.lower()) for t in terms) + r")\b"
     )
-    out_schema = pa.schema(
-        [
-            pa.field("url", pa.string()),
-            pa.field("n_refs", pa.int64()),
-            pa.field("n_hits", pa.int64()),
-            pa.field("relevance", pa.float64()),
-        ]
-    )
 
     def combine(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         df = (
             t.select(["target", "anchor", "cnt"])
             .to_pandas()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import CrawlConfig
+from .config import OPIC_TOTAL_CASH, ROBOTS_TTL_DAYS, CrawlConfig
 from .htmlparse import parse_page
 from .robots import RobotsRules
 from .urlops import UrlError, canonical_url, extract_url_components, url_allowed
@@ -54,7 +54,7 @@ def run_oracle(
     res = OracleResult()
     res.robots_cache = dict(robots_cache or {})
     compiled: dict[str, RobotsRules] = {}
-    ttl_us = cfg.robots_ttl_days * 86_400_000_000
+    ttl_us = ROBOTS_TTL_DAYS * 86_400_000_000
 
     def robots_allowed(host: str, base_url: str, url: str) -> bool:
         """agentAllowed (src/crawler.go:222-254): cached+fresh else fetch
@@ -105,9 +105,9 @@ def run_oracle(
         return canonical_url(url) if cfg.canonicalize_seen else url
 
     # frontier rows: (seq, url, parent, cash); cash is 0 outside opic mode.
-    # OPIC init: seeds split opic_total_cash equally (integer //, remainder
+    # OPIC init: seeds split OPIC_TOTAL_CASH equally (integer //, remainder
     # burned) — mirrors run_crawl's seed table exactly.
-    seed_cash = cfg.opic_total_cash // max(1, len(seeds)) if opic else 0
+    seed_cash = OPIC_TOTAL_CASH // max(1, len(seeds)) if opic else 0
     frontier: list[tuple[int, str, str, int]] = [
         (i, u, "", seed_cash) for i, u in enumerate(seeds)
     ]

@@ -61,7 +61,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..config import CrawlConfig
+from ..config import HTTP_THREADS, HTTP_TIMEOUT_S, OPIC_TOTAL_CASH, ROBOTS_TTL_DAYS, CrawlConfig
 from ..htmlparse import parse_page
 from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index
 from ..state.pool import StateShard
@@ -910,10 +910,10 @@ def run_crawl(
             num_buckets=cfg.num_fetch_buckets,
             user_agent=cfg.user_agent,
             now_us=cfg.now_us,
-            ttl_days=cfg.robots_ttl_days,
+            ttl_days=ROBOTS_TTL_DAYS,
             initial=initial_robots[i],
             fetch_mode=cfg.fetch_mode,
-            http_timeout_s=cfg.http_timeout_s,
+            http_timeout_s=HTTP_TIMEOUT_S,
         )
         for i in range(nsh)
     ]
@@ -932,7 +932,7 @@ def run_crawl(
         # each seed starts with an equal share of the total cash (the
         # OPIC init); integer //, remainder burned — oracle.py mirrors
         _seed_cols["cash"] = pa.array(
-            [cfg.opic_total_cash // max(1, len(seeds))] * len(seeds), pa.int64()
+            [OPIC_TOTAL_CASH // max(1, len(seeds))] * len(seeds), pa.int64()
         )
     frontier = pa.table(_seed_cols)
     # split the seed table: block count = map parallelism for round 0 (a
@@ -1087,8 +1087,8 @@ def run_crawl(
                     HttpFetcher,
                     fn_constructor_kwargs=dict(
                         user_agent=cfg.user_agent,
-                        timeout_s=cfg.http_timeout_s,
-                        max_threads=cfg.http_threads,
+                        timeout_s=HTTP_TIMEOUT_S,
+                        max_threads=HTTP_THREADS,
                     ),
                     concurrency=cfg.http_concurrency,
                     batch_size=64,

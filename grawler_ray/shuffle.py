@@ -193,3 +193,17 @@ def coarse_groupby(ds, key: str, fn, num_groups: int = 256, batch_format: str = 
     each block's own format, so the exchange moves the same block type as
     its input."""
     return coarse_cogroup([ds], key, fn, num_groups, batch_format)
+
+
+def materialize_loop_state(ds):
+    """``ds`` materialized under a new Ray stats lineage: the state an
+    iterative cogroup loop carries into its next iteration.  A state that
+    reaches its next value through two legs (directly, and through a
+    materialized leg derived from it) doubles its DatasetStats tree every
+    iteration, and Ray summarizes the whole tree after every execution:
+    6 000 nodes and ~1 s per execution after nine rounds of
+    ``resolve_chains``, 78 000 nodes and ~12 s after a dozen rounds of
+    ``dedup_components``."""
+    import ray.data
+
+    return ray.data.from_arrow_refs(ds.materialize().to_arrow_refs())

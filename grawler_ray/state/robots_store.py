@@ -14,7 +14,7 @@ Reads go through ``pyarrow.parquet`` only: ``pyarrow.dataset`` pulls in
 pandas, and this module is imported by every state actor at start-up.
 The reference's semantics:
 
-- TTL: entry stale when ``ts < now - robots_ttl_days`` (crawler.go:230;
+- TTL: entry stale when ``ts < now - ROBOTS_TTL_DAYS`` (crawler.go:230;
   1 month + 15 days).
 - fetch error => DENY the URL (crawler.go:142-150 returns err => skip), and
   status > 399 counts as a fetch error (utils.go:40-42) — including 404,

@@ -6,6 +6,10 @@ import numpy as np
 import pandas as pd
 
 SF = "/root/testdata/sf0.001"
+# id offset above 2^53 (as in test_resolve_chains_huge_ids): a cogroup that
+# pads int64 ids through float64 lands them on other ids
+HUGE = 2**62 + 3
+assert int(float(HUGE)) != HUGE
 
 
 def serial_pagerank(nodes, pairs, d_pct=85, iters=5, scale=10**9):
@@ -73,6 +77,11 @@ class TestPagerank:
         dist = self._run(ray_session, nodes, pairs, driver_max_edges=0)
         assert fast == dist
         assert fast == serial_pagerank(nodes, pairs)
+        hnodes = [HUGE + v for v in nodes]
+        hpairs = [(HUGE + a, HUGE + b) for a, b in pairs]
+        hdist = self._run(ray_session, hnodes, hpairs, driver_max_edges=0)
+        assert hdist == self._run(ray_session, hnodes, hpairs)
+        assert hdist == {HUGE + v: r for v, r in fast.items()}
 
     def test_vs_duckdb_sf(self, ray_session):
         import __ray_entry__ as e
@@ -301,7 +310,7 @@ class TestBfsDepth:
         nodes_t = pa.table({"v": pa.array(np.concatenate([o, p]))})
         seeds = [int(np.sort(np.unique(p))[0])]
 
-        def run(**guards):
+        def run(nodes_t=nodes_t, pairs_t=pairs_t, seeds=seeds, **guards):
             return (
                 bfs_depth(
                     ray.data.from_arrow(nodes_t),
@@ -318,6 +327,15 @@ class TestBfsDepth:
         drv = run()
         dist = run(driver_max_nodes=0, driver_max_edges=0)
         pd.testing.assert_frame_equal(drv, dist)
+
+        huge = dict(
+            nodes_t=pa.table({"v": pa.array(np.concatenate([o, p]) + HUGE)}),
+            pairs_t=pa.table({"a": pa.array(o + HUGE), "b": pa.array(p + HUGE)}),
+            seeds=[seeds[0] + HUGE],
+        )
+        hdist = run(**huge, driver_max_nodes=0, driver_max_edges=0)
+        pd.testing.assert_frame_equal(run(**huge), hdist)
+        pd.testing.assert_frame_equal(hdist.assign(v=hdist["v"] - HUGE), drv)
 
     def test_vs_duckdb_recursive_cte(self, ray_session):
         import ray.data
@@ -731,6 +749,10 @@ class TestKCore:
         dist = self._run(ray_session, pairs, 3, driver_max_edges=0)
         assert drv == exp
         assert dist == exp
+        hpairs = [(HUGE + a, HUGE + b) for a, b in pairs]
+        hexp = [HUGE + v for v in exp]
+        assert self._run(ray_session, hpairs, 3) == hexp
+        assert self._run(ray_session, hpairs, 3, driver_max_edges=0) == hexp
 
 
 def serial_hits(nodes, pairs, iters=4, scale=10**9):
@@ -808,6 +830,11 @@ class TestHits:
         dist = self._run(ray_session, nodes, pairs, driver_max_edges=0)
         assert fast == dist
         assert fast == serial_hits(nodes, pairs)
+        hnodes = [HUGE + v for v in nodes]
+        hpairs = [(HUGE + a, HUGE + b) for a, b in pairs]
+        hdist = self._run(ray_session, hnodes, hpairs, driver_max_edges=0)
+        assert hdist == self._run(ray_session, hnodes, hpairs)
+        assert hdist == tuple({HUGE + v: x for v, x in m.items()} for m in fast)
 
     def test_vs_duckdb_sf(self, ray_session):
         import __ray_entry__ as e

@@ -309,14 +309,9 @@ def _union_exchanges():
 
 def test_no_hand_written_union_exchange_in_package():
     """Two-sided exchanges go through shuffle.coarse_cogroup.  A hand-written
-    union feeding an exchange is left only in the iterative loops whose
-    materialized state carries its own tag column across iterations, in
-    degree_stats (it feeds the built-in groupby().sum()) and in
-    repartition_join (salted composite-key tag)."""
-    allowed = {
-        "pagerank", "bfs_depth", "hits.half", "resolve_chains", "degree_stats",
-        "repartition_join",
-    }
+    union feeding an exchange is left only in repartition_join, whose
+    salted composite-key tag the cogroup does not take."""
+    allowed = {"repartition_join"}
     bad = [
         f"{where} ({fn})" for where, fn in _union_exchanges()
         if not any(fn == a or fn.startswith(a + ".") for a in allowed)
