@@ -4,7 +4,8 @@ Headline: frontier-scheduled fetch+extract crawl (URLs/sec) over the
 deterministic synthetic Common-Crawl-style corpus (BASELINE.json metric).
 Sub-pipeline timings run over $GRAFT_SF_DIR tables.
 
-    python bench.py              # one run at $RAY_GRAFT_CPUS (default 32)
+    python bench.py              # one run at $RAY_GRAFT_CPUS (default: the
+                                 # process's CPU-affinity count)
     python bench.py --scaling    # fresh-process runs at 8 and 32 CPUs,
                                  # reports both + scaling efficiency
 
@@ -23,7 +24,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 N_HOSTS = int(os.environ.get("GRAWLER_BENCH_HOSTS", "100"))
 PAGES = int(os.environ.get("GRAWLER_BENCH_PAGES", "1000"))
 SEED = 42
@@ -237,8 +238,9 @@ def single_run() -> dict:
     return {
         "metric": "frontier crawl fetch+extract throughput (URLs/sec) over "
                   "bucketed Common-Crawl-style parquet corpus",
-        "value": round(crawl["wall_sec"], 3),
-        "unit": "sec",
+        "value": round(crawl["urls_per_sec"], 2),
+        "unit": "URLs/sec",
+        "crawl_wall_sec": round(crawl["wall_sec"], 3),
         "queries": queries,
         "sf": SF_DIR.rstrip("/").split("sf")[-1],
         "num_cpus": NUM_CPUS,
@@ -301,8 +303,9 @@ if __name__ == "__main__":
         print(json.dumps({
             "num_cpus": NUM_CPUS,
             "saturated": os.environ.get("GRAWLER_BENCH_SATURATED") == "1",
-            "value": round(crawl["wall_sec"], 3),
-            "unit": "sec",
+            "value": round(crawl["urls_per_sec"], 2),
+            "unit": "URLs/sec",
+            "crawl_wall_sec": round(crawl["wall_sec"], 3),
             "crawl_fetched_urls": crawl["fetched"],
             "crawl_urls_per_sec": round(crawl["urls_per_sec"], 2),
             "phase_sec": crawl["phase_sec"],

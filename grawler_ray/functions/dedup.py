@@ -24,7 +24,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index, materialize_loop_state
+from ..shuffle import (
+    LEG, block_sum, coarse_cogroup, coarse_group, coarse_groupby, key_index, materialize_loop_state,
+)
 from ..textops import _WORD_RE
 from ..urlops import xxhash64
 
@@ -1390,13 +1392,13 @@ def dedup_components(
     ``coarse_cogroup`` exchanges on the node: symmetric edges with labels
     (each edge forwards its node's label to dst), then labels with those
     messages (min label per node); labels only ever decrease, so the
-    driver-side convergence check is one scalar Sum aggregate per round
-    (labels stay distributed throughout).
+    driver-side convergence check is one label sum per round, added up
+    from per-block partial sums (labels stay distributed throughout).
 
     Returns a Dataset of (doc_id, component).
     """
     import ray.data
-    from ray.data.aggregate import Min, Sum
+    from ray.data.aggregate import Min
 
     def sym_edges(df: pd.DataFrame) -> pd.DataFrame:
         # (doc_id, dst): the node column carries the docs' key name, so the
@@ -1498,7 +1500,7 @@ def dedup_components(
         labels = materialize_loop_state(
             coarse_cogroup([labels, msgs], "doc_id", min_label, num_groups).repartition(num_groups)
         )
-        cur = labels.aggregate(Sum("label", alias_name="s"))["s"]
+        cur = block_sum(labels, "label")
         if cur == prev_sum:  # labels are monotone non-increasing => fixpoint
             break
         prev_sum = cur

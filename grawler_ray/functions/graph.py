@@ -41,7 +41,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..shuffle import LEG, coarse_cogroup, coarse_groupby, key_index, materialize_loop_state
+from ..shuffle import LEG, block_sum, coarse_cogroup, coarse_groupby, key_index, materialize_loop_state
 
 _SUMS = pa.schema([pa.field("v", pa.int64()), pa.field("csum", pa.int64())])
 
@@ -1180,7 +1180,7 @@ def resolve_chains(
     Each round cogroups two copies of the state on ``id``: providers as
     they are, requesters with their ptr in the ``id`` column (their own
     id moves to ``src``); lookups are a sorted-run searchsorted.  Rounds
-    stop when no pointer advanced (tiny global sum per round).
+    stop when no pointer advanced (a per-block sum the driver adds up).
 
     Size-adaptive like pagerank: below ``driver_max_rows`` the identical
     doubling runs as driver numpy (the exchange latency dominates small
@@ -1263,7 +1263,7 @@ def resolve_chains(
             .repartition(num_groups)
             .materialize()
         )
-        if state.sum("moved") == 0:
+        if block_sum(state, "moved") == 0:
             break
         state = materialize_loop_state(state.drop_columns(["moved"]))
 

@@ -4,31 +4,39 @@ Each BFS round translates crawlDocument's 12 stages (src/crawler.go:116-188,
 SURVEY §3.2) into Dataset stages:
 
     frontier_r (materialized control table: seq,url,parent_url — SMALL; the
-                heavy html bytes never enter it)
+                heavy html bytes never enter it; one block per 100k rows, at
+                least one per cluster CPU)
       -> map_batches(prepare)          M1/M2 url components + keys   [no shuffle]
-      -> groupby(url)  first-wins dedup                              [shuffle: url]
       -> map_batches(seen test)        T1 actor calls                [no shuffle]
-      -> groupby(hg: coarse host hash) politeness + urlAllowed
-         + robots gate  T2/T3                            [shuffle: host hash]
+      -> groupby(hg: coarse host hash) first-wins dedup, politeness,
+         urlAllowed  T2                                  [shuffle: host hash]
+      -> map_batches(robots gate)      T3 actor calls                [no shuffle]
       == materialize (admission table: split admitted/deferred/trace)
     admitted
-      -> groupby(bucket).map_groups(fetch)  J1: bucketed-corpus point join;
-         only the buckets the frontier touches are read, with an `url in`
-         predicate pushed into the Parquet scan              [shuffle: bucket]
+      -> sort(bucket, boundaries=equal bucket ranges)   ~2 x CPUs blocks, each
+         a contiguous range of corpus buckets            [shuffle: bucket]
+      -> map_batches(fetch)            J1: bucketed-corpus point join; each
+         bucket of the block is read once, with an `url in` predicate pushed
+         into the Parquet scan
       -> map_batches(parse)            M3-M11 + A1, html -> text    [no shuffle]
-      -> write_parquet(out/round=R/parsed)   streaming, no materialization of
-         html; this file IS the round checkpoint AND the documents/words sink
-         (documents = column projection; words = explode of the words column)
-    post-round (cheap column-pruned reads of the parsed file):
-      commit seen (T1), write trace, checkpoint the deferred rows; then, only
-      when another round will run, explode children (M12/M13) + deterministic
-      seq assignment and next frontier = deferred ∪ children (_next_frontier).
+      -> map_batches(write)            the parse task writes its block as one
+         file of out/round=R/parsed — the round checkpoint AND the documents/
+         words sink (documents = column projection; words = explode of the
+         words column) — and hands back the slim columns
+      == materialize (slim parsed rows: seq,url,parent_url,key_hash,
+         child_urls,action[,cash]; no html, no text)
+    post-round (maps over the slim rows; parsed/ is not read back):
+      max_urls cutoff, commit seen (T1), write trace, checkpoint the deferred
+      rows; then, only when another round will run, explode children
+      (M12/M13) + deterministic seq assignment and next frontier = deferred ∪
+      children (_next_frontier).
 
 The stateful side is ONE actor pool of ``seen_shards`` actors
 (state.pool.StateShard): each holds a seen-set shard and the robots cache of
-the hosts routed to it.  run_crawl waits for the pool once, before round 0
-(``stats["setup_sec"]``), so round-0 admission no longer absorbs actor
-start-up.
+the hosts routed to it.  The actors reserve no CPU: four actors at 0.1 CPU
+each left 3.6 of 4 CPUs, room for only three concurrent 1-CPU tasks.
+run_crawl waits for the pool once, before round 0 (``stats["setup_sec"]``),
+so round-0 admission no longer absorbs actor start-up.
 
 Scale notes (10^10-URL frontier):
 - the corpus is hash-bucketed by url (sources/corpus.py) so a round's fetch
@@ -50,6 +58,7 @@ import json
 import os
 import shutil
 import time
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -75,7 +84,6 @@ from ..urlops import (
 
 ACTION_PENDING = "pending"
 
-_MIN_PARALLELISM = 8  # floor on control-table blocks and admission groups
 # child-seq assignment: rounds with more fetched pages than this use the
 # fully distributed prefix sum (driver holds one row per block); below it,
 # the (seq, count) pairs — 16 B/page — go to the driver directly
@@ -83,14 +91,26 @@ _OFFSETS_DRIVER_MAX = 5_000_000
 
 
 def _cluster_cpus() -> int:
-    return int(ray.cluster_resources().get("CPU", _MIN_PARALLELISM))
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
-def _parallelism(cpus: int, rows: int = 0) -> int:
-    """Block count of a control table (and the admission group count):
-    4 x cluster CPUs, or one block per 100k rows when that is more, clamped
-    to [8, 512]."""
-    return max(_MIN_PARALLELISM, min(512, max(4 * cpus, rows // 100_000 + 1)))
+def _parallelism(cpus: int, rows: int) -> int:
+    """Block count of a control table (and the admission group count): one
+    block per 100k rows, at most 512, and at least one per CPU.  Every
+    operator of a round runs one task per block, so a 300-row frontier cut
+    into 4 x CPUs blocks paid for hundreds of tasks that each ran for
+    milliseconds."""
+    return max(cpus, min(512, rows // 100_000 + 1))
+
+
+def _bucket_boundaries(num_buckets: int, ranges: int) -> list[int]:
+    """Sort boundaries that cut buckets ``0 .. num_buckets - 1`` into
+    ``min(ranges, num_buckets)`` contiguous ranges of equal size (+-1):
+    range i holds the buckets b with ``boundaries[i-1] <= b <
+    boundaries[i]`` (Ray's ``sort(boundaries=)`` rule).  Empty for one
+    range."""
+    r = max(1, min(ranges, num_buckets))
+    return [i * num_buckets // r for i in range(1, r)]
 
 
 PARSED_COLUMNS = [
@@ -346,7 +366,7 @@ _CORPUS_FETCH_SCHEMA = pa.schema(
 
 
 def _fetch_group(corpus_dir: str):
-    """groupby(bucket): J1 fetch join — read ONE corpus bucket with an
+    """J1 fetch join of one bucket's rows — read ONE corpus bucket with an
     `url in (...)` predicate (row-group pruning via url-sorted buckets), then
     a fully vectorized Arrow merge: ``pc.index_in`` + ``take`` + null-fill
     (the Python dict + per-row list appends this replaces sat inside the most
@@ -390,6 +410,21 @@ def _fetch_group(corpus_dir: str):
                 "found": pc.is_valid(idx),
             }
         )
+
+    return fn
+
+
+def _fetch_range(corpus_dir: str):
+    """The fetch over one block of the round's bucket sort (a contiguous
+    range of buckets): ``_fetch_group`` once per bucket of the block, each
+    bucket's fetched rows yielded as soon as they are read, so the html of
+    a whole range never sits in one table."""
+    fetch = _fetch_group(corpus_dir)
+
+    def fn(t: pa.Table):
+        buckets = t.column("bucket").to_numpy(zero_copy_only=False)
+        for b in np.unique(buckets):
+            yield fetch(t.filter(pa.array(buckets == b)))
 
     return fn
 
@@ -506,11 +541,38 @@ class ParsePages:
         )
 
 
+SLIM_COLUMNS = ["seq", "url", "parent_url", "key_hash", "child_urls", "action"]
+
+
+def _write_parsed(parsed_dir: str, opic: bool):
+    """The parse task's sink: write its block of parsed rows as one file of
+    the round's parsed checkpoint, then hand back only the slim columns the
+    rest of the round reads (the seen commit, the max_urls cutoff, the
+    trace and the child explode) — the html-derived columns stay on disk
+    and parsed/ is never read back within the round.
+
+    The file is named by the block's first (smallest) seq, which is unique
+    within a round, and lands by temp file + ``os.replace``: a retried task
+    rewrites its own file whole, and a reader never sees half a file (the
+    temp name starts with '.', which the parquet readers skip)."""
+    slim = SLIM_COLUMNS + (["cash"] if opic else [])
+
+    def fn(t: pa.Table) -> pa.Table:
+        path = os.path.join(parsed_dir, f"part-{pc.min(t.column('seq')).as_py():020d}.parquet")
+        tmp = os.path.join(parsed_dir, f".{os.path.basename(path)}.{uuid.uuid4().hex}")
+        os.makedirs(parsed_dir, exist_ok=True)
+        pq.write_table(t, tmp)
+        os.replace(tmp, path)
+        return t.select(slim)
+
+    return fn
+
+
 def _commit_seen_batch(seen_actors, cfg: CrawlConfig):
     """T1 commit AFTER successful parse (crawler.go:178), from the url and
-    ``key_hash`` columns of fetched rows (the parsed checkpoint carries the
-    hash the prepare stage computed).  Idempotent on the shard, so task
-    retries are safe.  Returns the batch: the commit rides a read as a
+    ``key_hash`` columns of fetched rows (the parsed rows carry the hash the
+    prepare stage computed).  Idempotent on the shard, so task retries are
+    safe.  Returns the batch: the commit rides another stage as a
     pass-through map."""
 
     def fn(t: pa.Table) -> pa.Table:
@@ -736,12 +798,12 @@ def _next_frontier(kids_src, fetched: int, deferred_ds, deferred_rows: int,
     # bound the control table's block count: groupby/sort shuffle cost scales
     # with blocks, and unions would otherwise accumulate tiny blocks round
     # over round (~100 B/row => 100k rows/block is small).  Block count =
-    # map-stage parallelism for the whole next round (operators fuse onto
-    # these blocks), so it must track cluster CPUs; the cap bounds
-    # sort-shuffle overhead.  Materialized, not written and lazily re-read:
-    # admission then streams from the object store (measured faster).
-    nparts = _parallelism(cluster_cpus, acc)
-    return frontier_ds.repartition(nparts).materialize(), rows, acc
+    # map-stage parallelism for the admission of the next round (operators
+    # fuse onto these blocks), so it must cover the cluster CPUs; the cap
+    # bounds sort-shuffle overhead.  Materialized, not written and lazily
+    # re-read: admission then streams from the object store (measured
+    # faster).
+    return frontier_ds.repartition(_parallelism(cluster_cpus, rows)).materialize(), rows, acc
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +963,7 @@ def run_crawl(
             rt.column("ts").cast(pa.int64()).to_pylist(),  # tz-safe epoch µs
         ):
             initial_robots[i][h] = (b, ts_us)
-    StateActor = ray.remote(num_cpus=0.1)(StateShard)
+    StateActor = ray.remote(num_cpus=0)(StateShard)
     actors = [
         StateActor.remote(
             cfg.seen_mode,
@@ -935,10 +997,14 @@ def run_crawl(
             [OPIC_TOTAL_CASH // max(1, len(seeds))] * len(seeds), pa.int64()
         )
     frontier = pa.table(_seed_cols)
-    # split the seed table: block count = map parallelism for round 0 (a
-    # single from_arrow block would serialize the whole first round)
-    nparts0 = _parallelism(_cluster_cpus())
-    frontier_ds = ray.data.from_arrow(frontier).repartition(nparts0).materialize()
+    # split the seed table on the driver: block count = map parallelism for
+    # round 0 (a single from_arrow block would serialize the whole first
+    # round, and a repartition of it costs one more execution)
+    cpus = _cluster_cpus()
+    step = max(1, -(-len(seeds) // _parallelism(cpus, len(seeds))))  # ceil division
+    frontier_ds = ray.data.from_arrow(
+        [frontier.slice(i, step) for i in range(0, max(1, len(seeds)), step)]
+    )
     next_seq = len(seeds)
     frontier_rows = len(seeds)
     ray.get(pending)
@@ -1036,9 +1102,9 @@ def run_crawl(
                 break
             stats["rounds"] = rnd + 1
             rdir = _round_dir(out_dir, rnd)
-            # a crashed earlier attempt may have left partial parquet in this
-            # round dir; write_parquet appends, so stale files would be
-            # re-read as duplicate rows — delete before (re)writing
+            # a crashed earlier attempt may have left parquet files in this
+            # round dir that this attempt's files would not replace; they
+            # would be re-read as duplicate rows — delete before (re)writing
             shutil.rmtree(rdir, ignore_errors=True)
             _pt = time.monotonic()
             round_phases: dict[str, float] = {}
@@ -1064,10 +1130,10 @@ def run_crawl(
 
             # ---- admission: prepare -> seen test -> dedup+politeness ->
             # batched robots gate ----
-            # coarse admission shuffle: ~4 x cpus big vectorized groups, not
-            # one pandas group per host (VERDICT r2 item 1)
+            # coarse admission shuffle: one big vectorized group per frontier
+            # block, not one pandas group per host (VERDICT r2 item 1)
             prepared = frontier_ds.map_batches(
-                _prepare_batch(cfg, nparts0), batch_format="pyarrow"
+                _prepare_batch(cfg, _parallelism(cpus, frontier_rows)), batch_format="pyarrow"
             ).map_batches(_seen_test_batch(actors, cfg), batch_format="pyarrow")
             admission = (
                 prepared.groupby("hg")
@@ -1079,7 +1145,7 @@ def run_crawl(
 
             admitted = admission.filter(expr="action == 'admitted'")
             # ---- fetch (corpus point join | live-HTTP actor pool) ->
-            # parse -> sink ----
+            # parse -> sink; the parse width is the fetch block count ----
             if cfg.fetch_mode == "http":
                 from ..sources.httpfetch import HttpFetcher
 
@@ -1096,16 +1162,28 @@ def run_crawl(
                     batch_format="pyarrow",
                 )
             else:
-                fetched_src = admitted.groupby("bucket").map_groups(
-                    _fetch_group(corpus_dir), batch_format="pyarrow"
+                # equal bucket ranges, ~2 per CPU: explicit boundaries skip
+                # the sampling pass of a groupby's sort, and one fetch call
+                # reads every bucket of its range once
+                bounds = _bucket_boundaries(
+                    cfg.num_fetch_buckets, _parallelism(2 * cpus, frontier_rows)
                 )
-            fetched_src.map_batches(
-                ParsePages(cfg), batch_format="pyarrow", batch_size=cfg.parse_batch_size
-            ).write_parquet(os.path.join(rdir, "parsed"))
+                ranged = admitted.sort("bucket", boundaries=bounds) if bounds else admitted.repartition(1)
+                fetched_src = ranged.map_batches(
+                    _fetch_range(corpus_dir), batch_size=None, batch_format="pyarrow"
+                )
+            parsed_dir = os.path.join(rdir, "parsed")
+            slim = (
+                fetched_src.map_batches(
+                    ParsePages(cfg), batch_format="pyarrow", batch_size=cfg.parse_batch_size
+                )
+                .map_batches(_write_parsed(parsed_dir, _opic), batch_size=None, batch_format="pyarrow")
+                .materialize()
+            )
             _phase("fetch_parse_write")
 
             # a round where nothing was admitted writes no parsed files at all
-            parsed_exists = _has_parquet(os.path.join(rdir, "parsed"))
+            parsed_exists = _has_parquet(parsed_dir)
 
             # ---- max_urls budget (mirrors oracle.py:166): the oracle stops
             # mid-round at the fetch that reaches the budget; everything after
@@ -1122,9 +1200,7 @@ def run_crawl(
                 remaining = max(1, cfg.max_urls - stats["fetched"])
                 fseq_chunks = []
                 for b in (
-                    ray.data.read_parquet(
-                        os.path.join(rdir, "parsed"), columns=["seq", "action"]
-                    )
+                    slim.select_columns(["seq", "action"])
                     .filter(expr="action == 'fetched'")
                     .iter_batches(batch_format="pyarrow")
                 ):
@@ -1156,12 +1232,7 @@ def run_crawl(
                     ["seq", "url", "parent_url", "action"]
                 )
                 if parsed_exists:
-                    tds = tds.union(
-                        ray.data.read_parquet(
-                            os.path.join(rdir, "parsed"),
-                            columns=["seq", "url", "parent_url", "action"],
-                        )
-                    )
+                    tds = tds.union(slim.select_columns(["seq", "url", "parent_url", "action"]))
                 if seq_cutoff is not None:
                     tds = tds.filter(expr=f"seq <= {seq_cutoff}")
                 tds.map_batches(_as_trace, batch_format="pyarrow").write_parquet(
@@ -1169,18 +1240,22 @@ def run_crawl(
                 )
             _phase("trace")
 
-            # ---- post-round control table: ONE column-pruned read of the
-            # checkpointed file serves seen-commit, child counts and explode.
-            # The seen commit (AFTER parse success, crawler.go:178) rides this
-            # materialize as a pass-through map — idempotent on the shard, so
-            # a retried task is harmless.
-            kids_src = _kids_source(rdir, _opic)
-            if seq_cutoff is not None:
-                kids_src = kids_src.filter(expr=f"seq <= {seq_cutoff}")
+            # ---- post-round control table: the fetched slim rows serve
+            # seen-commit, child counts and explode.  The seen commit (AFTER
+            # parse success, crawler.go:178, and after the max_urls cutoff)
+            # rides this materialize as a pass-through map — idempotent on
+            # the shard, so a retried task is harmless.
             if parsed_exists:
-                kids_src = kids_src.map_batches(
-                    _commit_seen_batch(actors, cfg), batch_format="pyarrow"
-                ).materialize()
+                keep = "action == 'fetched'" + (
+                    f" and seq <= {seq_cutoff}" if seq_cutoff is not None else ""
+                )
+                kids_src = (
+                    slim.filter(expr=keep)
+                    .map_batches(_commit_seen_batch(actors, cfg), batch_format="pyarrow")
+                    .materialize()
+                )
+            else:
+                kids_src = _kids_source(rdir, _opic)  # nothing parsed: an empty table
             committed = kids_src.count()
             stats["fetched"] += int(committed)
             _phase("kids_read_commit")

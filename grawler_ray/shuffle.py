@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .urlops import xxhash64_batch
 
@@ -207,3 +208,16 @@ def materialize_loop_state(ds):
     import ray.data
 
     return ray.data.from_arrow_refs(ds.materialize().to_arrow_refs())
+
+
+def block_sum(ds, col: str) -> int:
+    """The sum of integer column ``col`` of a materialized Dataset: one map
+    task per block adds up its block and the driver adds the partial sums
+    — the fixpoint test of an iterative loop, without the all-to-all
+    Aggregate execution of ``ds.sum``."""
+    parts = ds.select_columns([col]).map_batches(
+        lambda t: pa.table({"s": [pc.sum(t.column(col)).as_py()]}),
+        batch_size=None,
+        batch_format="pyarrow",
+    )
+    return sum(s for t in parts.iter_batches(batch_size=None, batch_format="pyarrow") for s in t.column("s").to_pylist())
