@@ -370,10 +370,10 @@ def minhash_dedup(
     """Full MinHash+LSH near-dup pipeline over a documents Dataset.
     Returns a Dataset of (a, b, jaccard) verified pairs (a < b).
 
-    Candidate pairs are found from (band, band_hash, doc_id) rows only
-    (~20 B/doc/band shuffled); the text then reaches ``verify_pairs_join``,
-    which computes each candidate's shingle blob once and moves it once per
-    pair side.  Shingle blobs never ride the band shuffle: that would ship
+    Candidate pairs are found from (gkey, band, band_hash, doc_id) rows
+    only (24 B/doc/band, materialized, then shuffled); the text then
+    reaches ``verify_pairs_join``, which computes each candidate's shingle
+    blob once and moves it once per pair side.  Shingle blobs never ride the band shuffle: that would ship
     num_bands x blob bytes per doc, which ran a 900k-doc chain out of disk.
     Built on Ray's native sort shuffle: Ray 2.49's Acero-based
     Dataset.join breaks on empty hash partitions and its per-join
@@ -398,10 +398,18 @@ def minhash_dedup(
     """
     from ray.data.aggregate import Count
 
-    sigs = docs_ds.map_batches(minhash_batch(num_perm), batch_format="pyarrow")
+    # the band rows are MATERIALIZED before the gkey exchange: streamed
+    # into it, the MinHash map ran one task at a time (Ray 2.49 holds a CPU
+    # for the idle post-sort map_groups; tools/ray_floor.py).  Only the
+    # narrow band rows are held, never the signatures, and the exchange
+    # buffers all its input anyway.
+    bands = (
+        docs_ds.map_batches(minhash_batch(num_perm), batch_format="pyarrow")
+        .map_batches(lsh_band_explode(num_bands, num_groups), batch_format="pyarrow")
+        .materialize()
+    )
     pairs = (
-        sigs.map_batches(lsh_band_explode(num_bands, num_groups), batch_format="pyarrow")
-        .groupby("gkey")
+        bands.groupby("gkey")
         .map_groups(bucket_pairs(max_bucket), batch_format="pandas")
         # MATERIALIZED on purpose (round 4): lazily, the verify's payload
         # branch races ahead of candidate discovery, pins its output in
@@ -456,8 +464,9 @@ def verify_pairs_join(
       and ``ray.put`` once (at most 32 MB at the default guard).  One map
       over the docs keeps only member docs, computes their shingle blobs
       with ``shingles_batch`` and emits one (pa, pb, side_did, sh, pg) row
-      per pair side; a ``pg`` (pair-key hash) groupby verifies.  Text is
-      never shuffled, and the blob moves once per pair side.
+      per pair side; those rows are materialized, then a ``pg`` (pair-key
+      hash) groupby verifies.  Text is never shuffled, and the blob moves
+      once per pair side.
     - Full corpus (above the guard): TWO exchanges.  Docs and pair-side
       requests meet in one coarse doc-id ``coarse_cogroup`` that attaches
       each candidate's blob to its pair sides, then the ``pg`` groupby
@@ -594,7 +603,9 @@ def verify_pairs_join(
                 }
             )
 
-        sides = doc_side.map_batches(side_rows, batch_format="pyarrow")
+        # materialized before the pg exchange, like minhash_dedup's band
+        # rows: the shingle map then runs at full width
+        sides = doc_side.map_batches(side_rows, batch_format="pyarrow").materialize()
     else:
         # full-corpus join: pin both sides first (livelock note above)
         doc_side = doc_side.materialize()

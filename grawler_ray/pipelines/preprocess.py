@@ -30,8 +30,11 @@ would write each stage boundary to partitioned parquet instead and make
 the counts free — the ``out_dir``-per-stage hook below is where that
 plugs in.
 
-All-to-all exchanges per call.  Each is a Ray sort shuffle with about a
-second of fixed cost on a 4-CPU host, so the common case keeps three:
+All-to-all exchanges per call.  Each is a Ray sort shuffle of about
+0.2 s on a 4-CPU host once its input is materialized; the near-dup maps
+that feed one are materialized first, because a CPU-heavy map streaming
+into an exchange runs one task at a time (tools/ray_floor.py).  The
+common case keeps three:
 
   1. exact dedup: the coarse text_hash groupby over (text_hash, doc_id);
   2. near dedup, candidates: the LSH band ``gkey`` groupby;
@@ -59,6 +62,7 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from grawler_ray.shuffle import LEG, coarse_cogroup, coarse_groupby
 
@@ -78,8 +82,6 @@ def _keep_quality_batch(quality_kwargs: dict):
     qf = quality_filter_batch(**quality_kwargs)
 
     def fn(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         flags = qf(t)
         return t.filter(pc.equal(flags.column("keep"), True))
 
@@ -89,17 +91,12 @@ def _keep_quality_batch(quality_kwargs: dict):
 def _exact_drop_ids(t: pa.Table) -> pa.Table:
     """Coarse text_hash group over NARROW columns (text_hash, doc_id): emit
     the doc_ids that are NOT the min-doc_id of their text_hash run — i.e.
-    the exact duplicates to drop.  pyarrow format per the empty-partition
-    rule (CLAUDE.md): sparse group spaces at small scale emit empty blocks
-    of the declared format."""
-    h = np.asarray(t.column("text_hash").to_pylist(), dtype=object)
-    ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-    if len(h) == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64())})
-    order = np.lexsort((ids, h))
-    hs, is_ = h[order], ids[order]
-    first = np.concatenate(([True], hs[1:] != hs[:-1]))
-    return pa.table({"doc_id": pa.array(is_[~first], pa.int64())})
+    the exact duplicates to drop.  One arrow sort by (text_hash, doc_id);
+    a row whose hash equals its predecessor's is a drop."""
+    t = t.sort_by([("text_hash", "ascending"), ("doc_id", "ascending")])
+    h = t.column("text_hash")
+    dup = pc.equal(h[1:], h[:-1])
+    return pa.table({"doc_id": t.column("doc_id")[1:].filter(dup).cast(pa.int64())})
 
 
 def _broadcast_drop_filter(docs_ds, drop_ids: np.ndarray):
@@ -482,8 +479,6 @@ def curate_corpus(
 
     # 3. LEFT join: docs with < 2 tokens have no bigram row — score 0
     def fill0(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "doc_id": t.column("doc_id"),
@@ -505,8 +500,6 @@ def curate_corpus(
     )
 
     def keep_only(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return t.filter(
             pc.is_in(t.column("tile"), value_set=pa.array(list(keep_tiles)))
         )
@@ -556,8 +549,6 @@ def curate_corpus(
     )
 
     def norm(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "pred_lang": t.column("pred_lang"),

@@ -140,6 +140,27 @@ def test_minhash_join_one_row_per_pair(docs_ds):
     assert got[2_000_000] == got[2 * n_uniq] == got[0]
 
 
+def test_minhash_exchanges_read_materialized_rows(docs_ds, monkeypatch):
+    """The band rows reach the gkey groupby, and the broadcast verify's
+    pair-side rows the pg groupby, as materialized datasets: a map that
+    streams into an exchange runs one task at a time."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    from grawler_ray.functions.dedup import minhash_dedup
+
+    seen = {}
+    groupby = ray.data.Dataset.groupby
+
+    def recording_groupby(self, key, *a, **kw):
+        seen[str(key)] = isinstance(self, MaterializedDataset)
+        return groupby(self, key, *a, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", recording_groupby)
+    assert len(minhash_dedup(docs_ds, threshold=0.5).take_all()) > 0
+    assert seen == {"gkey": True, "pg": True}
+
+
 def test_ngram_jaccard_exact_baseline(docs_ds):
     from grawler_ray.functions.dedup import ngram_jaccard_pairs
 

@@ -322,3 +322,63 @@ class TestDecontaminateBloom:
         ex, bl = exact.sort_index(), tiny.sort_index()
         assert (bl.n_hits >= ex.n_hits).all()
         assert (bl.is_contaminated >= ex.is_contaminated).all()
+
+
+def _exact_drop_reference(rows):
+    """Pure-Python exact-dup drop set: every doc_id but the min of its hash."""
+    by_hash: dict[str, list[int]] = {}
+    for h, d in rows:
+        by_hash.setdefault(h, []).append(d)
+    return {d for ids in by_hash.values() for d in ids if d != min(ids)}
+
+
+def _hash_rows():
+    rng = np.random.default_rng(12)
+    rows = []
+    # runs of 1 (singletons) to 6 copies, doc ids shuffled across runs
+    ids = rng.permutation(400)
+    pos = 0
+    for r in range(120):
+        size = 1 + r % 6
+        h = hashlib.md5(f"text {r}".encode()).hexdigest()
+        rows += [(h, int(d)) for d in ids[pos : pos + size]]
+        pos += size
+    order = rng.permutation(len(rows))
+    return [rows[i] for i in order]
+
+
+def test_exact_drop_ids_match_reference_across_batches():
+    """One table built from many record batches: equal-hash runs straddle
+    the batches, and singleton runs drop nothing."""
+    import pyarrow as pa
+
+    from grawler_ray.pipelines.preprocess import _exact_drop_ids
+
+    rows = _hash_rows()
+    batches = [
+        pa.record_batch(
+            [pa.array([h for h, _ in rows[i : i + 7]]), pa.array([d for _, d in rows[i : i + 7]], pa.int64())],
+            names=["text_hash", "doc_id"],
+        )
+        for i in range(0, len(rows), 7)
+    ]
+    got = _exact_drop_ids(pa.Table.from_batches(batches)).column("doc_id")
+    assert got.type == pa.int64()
+    assert sorted(got.to_pylist()) == sorted(_exact_drop_reference(rows))
+    assert len(got) == len(set(got.to_pylist()))
+
+
+def test_exact_drop_ids_through_coarse_groupby(ray_session):
+    """The prep_corpus call site: input blocks split every run, the coarse
+    text_hash groupby brings each run to one fn call."""
+    import ray.data
+
+    from grawler_ray.pipelines.preprocess import _exact_drop_ids
+    from grawler_ray.shuffle import coarse_groupby
+
+    rows = _hash_rows()
+    ds = ray.data.from_pandas(
+        pd.DataFrame({"text_hash": [h for h, _ in rows], "doc_id": [d for _, d in rows]})
+    ).repartition(9)
+    got = coarse_groupby(ds, "text_hash", _exact_drop_ids, 16).to_pandas()
+    assert sorted(got["doc_id"].tolist()) == sorted(_exact_drop_reference(rows))
