@@ -34,9 +34,14 @@ SURVEY §3.2) into Dataset stages:
 The stateful side is ONE actor pool of ``seen_shards`` actors
 (state.pool.StateShard): each holds a seen-set shard and the robots cache of
 the hosts routed to it.  The actors reserve no CPU: four actors at 0.1 CPU
-each left 3.6 of 4 CPUs, room for only three concurrent 1-CPU tasks.
-run_crawl waits for the pool once, before round 0 (``stats["setup_sec"]``),
-so round-0 admission no longer absorbs actor start-up.
+each left 3.6 of 4 CPUs, room for only three concurrent 1-CPU tasks.  The
+pool outlives the call: a call that returns clears it and leaves it idle,
+and the next call of the Ray session with the same shard count resets it in
+place (a ~2 ms round-trip) instead of starting new processes (~0.9 s for
+four on a 4-CPU host); a call that raises kills it.  run_crawl waits for
+the pool once, before round 0 (``stats["setup_sec"]``, with
+``stats["state_pool"]`` = "started" or "reused"), so round-0 admission
+never absorbs actor start-up.
 
 Scale notes (10^10-URL frontier):
 - the corpus is hash-bucketed by url (sources/corpus.py) so a round's fetch
@@ -73,7 +78,8 @@ import ray.data
 from ..config import HTTP_THREADS, HTTP_TIMEOUT_S, OPIC_TOTAL_CASH, ROBOTS_TTL_DAYS, CrawlConfig
 from ..htmlparse import parse_page
 from ..shuffle import LEG, coarse_cogroup, coarse_group, coarse_groupby, key_index
-from ..state.pool import StateShard
+from ..state.pool import close_pool, open_pool
+from ..state.seen import SEEN_CAPACITY
 from ..urlops import (
     UrlError,
     canonical_url,
@@ -875,9 +881,16 @@ def run_crawl(
 ) -> dict:
     """Run the crawl; returns summary stats.  Ray must already be initialized
     by the caller (driver contract).  ``stats["setup_sec"]`` is the time
-    before round 0: the state-actor pool's start-up (with its read-ahead of
-    the seed hosts' robots.txt) overlapped with the seed-frontier build;
-    ``stats["phase_sec"]`` sums the round phases.
+    before round 0: the state-actor pool's start-up or reset (with its
+    read-ahead of the seed hosts' robots.txt) overlapped with the
+    seed-frontier build; ``stats["phase_sec"]`` sums the round phases.
+
+    The state-actor pool outlives the call (``state.pool.open_pool``):
+    ``stats["state_pool"]`` is "reused" when this call reset the idle pool
+    an earlier call of the Ray session left, "started" when it started one
+    (none of this shard count idle, an idle actor had died, or the pool
+    belongs to an earlier Ray session).  On return the pool drops its seen set and
+    robots cache and stays idle; when the call raises, it is killed.
 
     ``resume=True``: continue from the last round whose manifest says
     complete — the next frontier is rebuilt from that round's checkpoints
@@ -947,156 +960,172 @@ def run_crawl(
     _prev_block_size = _ctx.target_max_block_size
     _ctx.target_max_block_size = 32 * 1024 * 1024
 
-    # --- one stateful actor pool: seen shard (T1) + robots cache (T3) per
-    # actor; it starts while the seed frontier is built below ---
-    nsh = cfg.seen_shards
-    # the robots cache split by state-actor shard (``xxhash64(host) %
-    # shards``, StateShard's routing), every cached host hashed once
-    initial_robots: list[dict[str, tuple[str, int]]] = [{} for _ in range(nsh)]
-    if robots_cache_path and os.path.exists(robots_cache_path):
-        rt = pq.read_table(robots_cache_path)
-        hosts = rt.column("host").to_pylist()
-        for h, i, b, ts_us in zip(
-            hosts,
-            (xxhash64_batch(hosts) % np.uint64(nsh)).tolist(),
-            rt.column("robots").to_pylist(),
-            rt.column("ts").cast(pa.int64()).to_pylist(),  # tz-safe epoch µs
-        ):
-            initial_robots[i][h] = (b, ts_us)
-    StateActor = ray.remote(num_cpus=0)(StateShard)
-    actors = [
-        StateActor.remote(
-            cfg.seen_mode,
-            1_000_000,
-            corpus_dir=corpus_dir,
-            num_buckets=cfg.num_fetch_buckets,
-            user_agent=cfg.user_agent,
-            now_us=cfg.now_us,
-            ttl_days=ROBOTS_TTL_DAYS,
-            initial=initial_robots[i],
-            fetch_mode=cfg.fetch_mode,
-            http_timeout_s=HTTP_TIMEOUT_S,
-        )
-        for i in range(nsh)
-    ]
-    pending = [a.ready.remote() for a in actors]
-    if not resume and cfg.fetch_mode == "corpus":
-        pending += _prefetch_seed_robots(actors, seeds)
-
-    start_round = 0
-    _opic = cfg.frontier_order == "opic"
-    _seed_cols = {
-        "seq": pa.array(range(len(seeds)), pa.int64()),
-        "url": pa.array(seeds, pa.string()),
-        "parent_url": pa.array([""] * len(seeds), pa.string()),
-    }
-    if _opic:
-        # each seed starts with an equal share of the total cash (the
-        # OPIC init); integer //, remainder burned — oracle.py mirrors
-        _seed_cols["cash"] = pa.array(
-            [OPIC_TOTAL_CASH // max(1, len(seeds))] * len(seeds), pa.int64()
-        )
-    frontier = pa.table(_seed_cols)
-    # split the seed table on the driver: block count = map parallelism for
-    # round 0 (a single from_arrow block would serialize the whole first
-    # round, and a repartition of it costs one more execution)
-    cpus = _cluster_cpus()
-    step = max(1, -(-len(seeds) // _parallelism(cpus, len(seeds))))  # ceil division
-    frontier_ds = ray.data.from_arrow(
-        [frontier.slice(i, step) for i in range(0, max(1, len(seeds)), step)]
-    )
-    next_seq = len(seeds)
-    frontier_rows = len(seeds)
-    ray.get(pending)
-    stats = {
-        "rounds": 0, "fetched": 0, "frontier_total": len(seeds),
-        "setup_sec": time.monotonic() - t0,
-    }
-
-    if man is not None:
-        last = done[-1]
-        start_round = last + 1
-        next_seq = man["next_seq"]
-        stats["rounds"] = start_round
-        stats["resumed_from_round"] = last
-
-        # fast path: restore the last complete round's seen-shard
-        # snapshots — O(seen set), not O(crawl history) (VERDICT r2
-        # item 2).  Only when the snapshot's (mode, shard count) match
-        # this run's config: shard routing is hash % num_shards, so a
-        # different count would scatter keys to the wrong actors.
-        seen_dir = os.path.join(_round_dir(out_dir, last), "seen")
-        meta_path = os.path.join(seen_dir, "meta.json")
-        snap_ok = False
-        if os.path.exists(meta_path):
-            with open(meta_path) as f:
-                smeta = json.load(f)
-            snap_ok = (
-                smeta.get("mode") == cfg.seen_mode
-                and smeta.get("shards") == cfg.seen_shards
-                and all(
-                    os.path.exists(os.path.join(seen_dir, f"shard={i}.parquet"))
-                    for i in range(cfg.seen_shards)
-                )
-            )
-        if snap_ok:
-            ray.get(
-                [
-                    actors[i].load.remote(
-                        os.path.join(seen_dir, f"shard={i}.parquet")
-                    )
-                    for i in range(cfg.seen_shards)
-                ]
-            )
-            stats["seen_restore"] = "snapshot"
-            # per-round fetched counts come straight from the manifests
-            # (admitted_rows is the committed count, cutoff-adjusted)
-            total = 0
-            for r in done:
-                with open(os.path.join(_round_dir(out_dir, r), "manifest.json")) as f:
-                    total += json.load(f).get("admitted_rows", 0)
-            stats["fetched"] = total
-        else:
-            stats["seen_restore"] = "rebuild"
-            # fallback: rebuild the seen set by re-committing the fetched
-            # rows of all completed rounds (column-pruned reads; O(history))
-            commit = _commit_seen_batch(actors, cfg)
-
-            def _recommit(files: list[str], cut: int | None = None) -> int:
-                ds = ray.data.read_parquet(
-                    files, columns=["seq", "url", "key_hash", "action"]
-                ).filter(expr="action == 'fetched'")
-                if cut is not None:
-                    ds = ds.filter(expr=f"seq <= {cut}")
-                return ds.map_batches(commit, batch_format="pyarrow").count()
-
-            rounds = [(fl, cut) for r, fl, cut in _parsed_rounds(out_dir) if r in done]
-            plain = [f for fl, cut in rounds if cut is None for f in fl]
-            # at most one cut round: a cutoff ends the crawl
-            stats["fetched"] = (_recommit(plain) if plain else 0) + sum(
-                _recommit(fl, cut) for fl, cut in rounds if cut is not None
-            )
-        last_dir = _round_dir(out_dir, last)
-        if start_round >= cfg.max_rounds or man.get("seq_cutoff") is not None:
-            frontier_rows = 0  # nothing left to run
-        else:
-            # the frontier the next round would have read, rebuilt from the
-            # last round's parsed checkpoint + deferred rows
-            kids = _kids_source(last_dir, _opic).materialize()
-            deferred_rows = man["deferred_rows"]
-            frontier_ds, frontier_rows, acc = _next_frontier(
-                kids,
-                kids.count(),
-                ray.data.read_parquet(os.path.join(last_dir, "deferred"))
-                if deferred_rows else None,
-                deferred_rows,
-                man["first_child_seq"],
-                cfg,
-            )
-            next_seq = man["first_child_seq"] + acc
-            stats["frontier_total"] += acc
-
+    actors: list = []
+    ok = False
     try:
+        # --- one stateful actor pool: seen shard (T1) + robots cache (T3) per
+        # actor; the idle pool of this session is reset (or a fresh one
+        # starts) while the seed frontier is built below ---
+        nsh = cfg.seen_shards
+        # the robots cache split by state-actor shard (``xxhash64(host) %
+        # shards``, StateShard's routing), every cached host hashed once
+        initial_robots: list[dict[str, tuple[str, int]]] = [{} for _ in range(nsh)]
+        if robots_cache_path and os.path.exists(robots_cache_path):
+            rt = pq.read_table(robots_cache_path)
+            hosts = rt.column("host").to_pylist()
+            for h, i, b, ts_us in zip(
+                hosts,
+                (xxhash64_batch(hosts) % np.uint64(nsh)).tolist(),
+                rt.column("robots").to_pylist(),
+                rt.column("ts").cast(pa.int64()).to_pylist(),  # tz-safe epoch µs
+            ):
+                initial_robots[i][h] = (b, ts_us)
+        shard_kwargs = [
+            dict(
+                seen_mode=cfg.seen_mode,
+                seen_capacity=SEEN_CAPACITY,
+                corpus_dir=corpus_dir,
+                num_buckets=cfg.num_fetch_buckets,
+                user_agent=cfg.user_agent,
+                now_us=cfg.now_us,
+                ttl_days=ROBOTS_TTL_DAYS,
+                initial=initial_robots[i],
+                fetch_mode=cfg.fetch_mode,
+                http_timeout_s=HTTP_TIMEOUT_S,
+            )
+            for i in range(nsh)
+        ]
+
+        def _open(reuse: bool) -> tuple[list, list, bool]:
+            actors, refs, reused = open_pool(shard_kwargs, reuse)
+            if not resume and cfg.fetch_mode == "corpus":
+                refs += _prefetch_seed_robots(actors, seeds)
+            return actors, refs, reused
+
+        actors, pending, reused = _open(reuse=True)
+
+        start_round = 0
+        _opic = cfg.frontier_order == "opic"
+        _seed_cols = {
+            "seq": pa.array(range(len(seeds)), pa.int64()),
+            "url": pa.array(seeds, pa.string()),
+            "parent_url": pa.array([""] * len(seeds), pa.string()),
+        }
+        if _opic:
+            # each seed starts with an equal share of the total cash (the
+            # OPIC init); integer //, remainder burned — oracle.py mirrors
+            _seed_cols["cash"] = pa.array(
+                [OPIC_TOTAL_CASH // max(1, len(seeds))] * len(seeds), pa.int64()
+            )
+        frontier = pa.table(_seed_cols)
+        # split the seed table on the driver: block count = map parallelism for
+        # round 0 (a single from_arrow block would serialize the whole first
+        # round, and a repartition of it costs one more execution)
+        cpus = _cluster_cpus()
+        step = max(1, -(-len(seeds) // _parallelism(cpus, len(seeds))))  # ceil division
+        frontier_ds = ray.data.from_arrow(
+            [frontier.slice(i, step) for i in range(0, max(1, len(seeds)), step)]
+        )
+        next_seq = len(seeds)
+        frontier_rows = len(seeds)
+        try:
+            ray.get(pending)
+        except ray.exceptions.RayActorError:
+            if not reused:
+                raise
+            # an actor of the idle pool died between calls: start afresh
+            close_pool(actors, ok=False)
+            actors, pending, reused = _open(reuse=False)
+            ray.get(pending)
+        stats = {
+            "rounds": 0, "fetched": 0, "frontier_total": len(seeds),
+            "setup_sec": time.monotonic() - t0,
+            "state_pool": "reused" if reused else "started",
+        }
+
+        if man is not None:
+            last = done[-1]
+            start_round = last + 1
+            next_seq = man["next_seq"]
+            stats["rounds"] = start_round
+            stats["resumed_from_round"] = last
+
+            # fast path: restore the last complete round's seen-shard
+            # snapshots — O(seen set), not O(crawl history) (VERDICT r2
+            # item 2).  Only when the snapshot's (mode, shard count) match
+            # this run's config: shard routing is hash % num_shards, so a
+            # different count would scatter keys to the wrong actors.
+            seen_dir = os.path.join(_round_dir(out_dir, last), "seen")
+            meta_path = os.path.join(seen_dir, "meta.json")
+            snap_ok = False
+            if os.path.exists(meta_path):
+                with open(meta_path) as f:
+                    smeta = json.load(f)
+                snap_ok = (
+                    smeta.get("mode") == cfg.seen_mode
+                    and smeta.get("shards") == cfg.seen_shards
+                    and all(
+                        os.path.exists(os.path.join(seen_dir, f"shard={i}.parquet"))
+                        for i in range(cfg.seen_shards)
+                    )
+                )
+            if snap_ok:
+                ray.get(
+                    [
+                        actors[i].load.remote(
+                            os.path.join(seen_dir, f"shard={i}.parquet")
+                        )
+                        for i in range(cfg.seen_shards)
+                    ]
+                )
+                stats["seen_restore"] = "snapshot"
+                # per-round fetched counts come straight from the manifests
+                # (admitted_rows is the committed count, cutoff-adjusted)
+                total = 0
+                for r in done:
+                    with open(os.path.join(_round_dir(out_dir, r), "manifest.json")) as f:
+                        total += json.load(f).get("admitted_rows", 0)
+                stats["fetched"] = total
+            else:
+                stats["seen_restore"] = "rebuild"
+                # fallback: rebuild the seen set by re-committing the fetched
+                # rows of all completed rounds (column-pruned reads; O(history))
+                commit = _commit_seen_batch(actors, cfg)
+
+                def _recommit(files: list[str], cut: int | None = None) -> int:
+                    ds = ray.data.read_parquet(
+                        files, columns=["seq", "url", "key_hash", "action"]
+                    ).filter(expr="action == 'fetched'")
+                    if cut is not None:
+                        ds = ds.filter(expr=f"seq <= {cut}")
+                    return ds.map_batches(commit, batch_format="pyarrow").count()
+
+                rounds = [(fl, cut) for r, fl, cut in _parsed_rounds(out_dir) if r in done]
+                plain = [f for fl, cut in rounds if cut is None for f in fl]
+                # at most one cut round: a cutoff ends the crawl
+                stats["fetched"] = (_recommit(plain) if plain else 0) + sum(
+                    _recommit(fl, cut) for fl, cut in rounds if cut is not None
+                )
+            last_dir = _round_dir(out_dir, last)
+            if start_round >= cfg.max_rounds or man.get("seq_cutoff") is not None:
+                frontier_rows = 0  # nothing left to run
+            else:
+                # the frontier the next round would have read, rebuilt from the
+                # last round's parsed checkpoint + deferred rows
+                kids = _kids_source(last_dir, _opic).materialize()
+                deferred_rows = man["deferred_rows"]
+                frontier_ds, frontier_rows, acc = _next_frontier(
+                    kids,
+                    kids.count(),
+                    ray.data.read_parquet(os.path.join(last_dir, "deferred"))
+                    if deferred_rows else None,
+                    deferred_rows,
+                    man["first_child_seq"],
+                    cfg,
+                )
+                next_seq = man["first_child_seq"] + acc
+                stats["frontier_total"] += acc
+
         for rnd in range(start_round, cfg.max_rounds):
             if frontier_rows == 0:
                 break
@@ -1334,10 +1363,10 @@ def run_crawl(
                 }
             )
             pq.write_table(t.sort_by("host"), os.path.join(out_dir, "robots_final.parquet"))
+        ok = True
     finally:
         _ctx.target_max_block_size = _prev_block_size
-        for a in actors:
-            ray.kill(a)
+        close_pool(actors, ok)
 
     stats["wall_sec"] = time.monotonic() - t0
     return stats

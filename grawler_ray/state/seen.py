@@ -29,6 +29,10 @@ import numpy as np
 
 from ..urlops import xxhash64
 
+# slots a shard's cuckoo filter is built for (the exact set grows as needed);
+# the crawl's state actors use this
+SEEN_CAPACITY = 1_000_000
+
 
 class CuckooFilter:
     """4-way bucketed cuckoo filter with 16-bit fingerprints over uint64 keys.
@@ -119,11 +123,11 @@ class CuckooFilter:
 
 
 class SeenShard:
-    """One shard of the seen set.  Instantiated as a named Ray actor by the
-    pipeline (``ray.remote(SeenShard)``); kept import-clean of ray here so it
+    """One shard of the seen set.  Held by a crawl state actor
+    (``state.pool.StateShard``); kept import-clean of ray here so it
     unit-tests without a cluster."""
 
-    def __init__(self, mode: str = "exact", capacity: int = 1_000_000):
+    def __init__(self, mode: str = "exact", capacity: int = SEEN_CAPACITY):
         self.mode = mode
         self.keys: set[str] = set()
         self.filter = CuckooFilter(capacity) if mode == "cuckoo" else None
