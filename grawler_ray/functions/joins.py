@@ -5,8 +5,8 @@ The reference engine has neither (it is a crawler); the brief names both as
 custom operators a large-scale pipeline needs.  Both are expressed
 Ray-Data-first with ONE partitioning assumption each, documented inline:
 
-- ``asof_join``: both sides are tagged and unioned, shuffled ONCE on a
-  coarse user-hash, and matched inside each group with a vectorized
+- ``asof_join``: both sides are tagged, shuffled ONCE on a coarse
+  user-hash, and matched inside each group with a vectorized
   run-scan (sort + ``np.maximum.accumulate`` forward-fill) — no per-user
   pandas groups, no driver materialization.  Assumption: one key's rows fit
   one group (keys are users; same assumption as events.py windows).
@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..shuffle import LEG, arrow_schema, coarse_cogroup, coarse_group, coarse_group_tuple, coarse_groupby
+from ..shuffle import LEG, arrow_schema, coarse_cogroup, coarse_groupby
 
 US_PER_MINUTE = 60_000_000
 
@@ -89,23 +89,11 @@ def asof_join(
             }
         )
 
-    out_schema = pa.schema(
-        [
-            pa.field("event_id", pa.int64()),
-            pa.field("user_id", pa.int64()),
-            pa.field("matched_event_id", pa.int64()),
-            pa.field("matched_cents", pa.int64()),
-        ]
-    )
-
     def match(t: pa.Table) -> pa.Table:
-        # pyarrow in/out: empty partitions of the sparse group key space emit
-        # ARROW blocks, and the nullable match columns are Arrow
-        # int64-with-nulls (NOT pandas Int64 — pandas-native nullable blocks
-        # reach the driver as `<NA>` where the oracle has NaN and fail its
-        # value hash even when every value matches)
-        if t.num_rows == 0:
-            return out_schema.empty_table()
+        # pyarrow out: the nullable match columns are Arrow int64-with-nulls
+        # (NOT pandas Int64 — pandas-native nullable blocks reach the driver
+        # as `<NA>` where the oracle has NaN and fail its value hash even
+        # when every value matches)
         eid = t.column("event_id").to_numpy(zero_copy_only=False)
         users = t.column("user_id").to_numpy(zero_copy_only=False)
         ts = t.column("ts_us").to_numpy(zero_copy_only=False)
@@ -192,10 +180,9 @@ def range_join_count(
                 rows["hi"].append(np.minimum(e[live], (b[live] + 1) * w_us))
                 rows["cents"].append(np.zeros(live.sum(), np.int64))
                 rows["is_interval"].append(np.ones(live.sum(), np.int8))
-        g = coarse_group(np.concatenate(rows["bucket"]), num_groups)
         return pa.table(
             {
-                "bg": pa.array(g, pa.int32()),
+                "bucket": pa.array(np.concatenate(rows["bucket"]), pa.int64()),
                 "interval_id": pa.array(np.concatenate(rows["interval_id"]), pa.int64()),
                 "lo": pa.array(np.concatenate(rows["lo"]), pa.int64()),
                 "hi": pa.array(np.concatenate(rows["hi"]), pa.int64()),
@@ -222,13 +209,13 @@ def range_join_count(
             }
         )
 
-    partials = (
-        events_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bg")
-        .map_groups(bucket_match, batch_format="pandas")
+    partials = coarse_groupby(
+        events_ds.map_batches(tag, batch_format="pyarrow"),
+        "bucket", bucket_match, num_groups, batch_format="pandas",
+    ).map_batches(
         # arrow blocks: pandas-block sort-aggregates are a Ray 2.49 slow
         # path (user_retention measurement, round 4)
-        .map_batches(lambda t: t, batch_format="pyarrow")
+        lambda t: t, batch_format="pyarrow"
     )
     out = partials.groupby("interval_id").aggregate(
         Sum("n_part", alias_name="n_events"), Sum("cents_part", alias_name="sum_cents")
@@ -301,146 +288,75 @@ def _membership_join(left_ds, right_ds, on_left: str, on_right: str,
 
 
 def repartition_join(left_ds, right_ds, on_left, on_right,
-                     num_groups: int = 64, salt: int = 1, hot_keys=None,
-                     how: str = "inner"):
-    """Distributed inner/left equi-join for two LARGE sides — the general-join
-    companion to ``hash_anti_join`` (same union + coarse-key-hash groupby
-    "repartition join"; same Acero-avoidance rationale, see CLAUDE.md).
-
-    Both sides are null-padded to the UNION of their schemas, tagged, and
-    shuffled ONCE on hash(key, salt_r) % num_groups; each group splits by
-    side and matches with ``pandas.merge`` (C hash join) — never per-key
-    Python groups.  Output columns: left columns + right payload columns
-    (the right key column is dropped; names must not collide).  Full
-    inner-join semantics (duplicate keys on either side multiply).  Join
-    keys are int64 or string (URL-keyed joins).
+                     num_groups: int = 64, how: str = "inner"):
+    """Distributed inner/left/outer equi-join for two LARGE sides — the
+    general-join companion to ``hash_anti_join``: one
+    ``shuffle.coarse_cogroup`` of the two sides on the join key (same
+    Acero-avoidance rationale, see CLAUDE.md), and each coarse group
+    matches its two legs with ``pandas.merge`` (C hash join) — never
+    per-key Python groups.  Output columns: left columns + right payload
+    columns (the right key columns are dropped; names must not collide).
+    Full inner-join semantics (duplicate keys on either side multiply).
+    Join keys are int64 or string (URL-keyed joins).
 
     ``how="left"`` keeps unmatched left rows with NULL right payloads —
-    every left row lands in exactly one (gk, salt) group, so it appears
+    every left row lands in exactly one coarse group, so it appears
     exactly once; the null padding goes out as ARROW int64-with-nulls
     (lands as float64/NaN after to_pandas, the driver's null repr rule in
     CLAUDE.md — never pandas-nullable Int64).  ``how="outer"`` additionally
     keeps unmatched RIGHT rows with NULL left payloads (the key column is
-    coalesced from whichever side is present); full requires ``salt == 1``
-    — a salted hot right row is replicated per shard, so an unmatched one
-    would surface once per replica.
-
-    Skew: a hot key's matches must fit one group.  Pass ``salt`` > 1 with
-    the ``hot_keys`` (int64 iterable) to shard each hot key's LEFT rows
-    across ``salt`` subgroups and replicate ONLY the hot RIGHT rows
-    ``salt``-fold (the standard salted-join pattern): shuffle overhead is
-    (salt - 1) x the hot right rows, and the biggest group shrinks by
-    ~1/salt.  The salt id rides both sides and joins as part of the key,
-    so colliding coarse groups can never double-match.
+    coalesced from whichever side is present).
 
     Composite keys: ``on_left`` / ``on_right`` may be equal-length LISTS
-    of column names — the coarse partition is ``shuffle.coarse_group_tuple``
-    over the key columns and the salt, and the in-group merge matches on
-    the whole tuple.  Output key columns carry the LEFT names.  Salting stays
-    single-key (name ONE hot column's values).
+    of column names — the rows are partitioned on the first key column and
+    the in-group merge matches on the whole tuple.  Output key columns
+    carry the LEFT names and types.  A hot key's matches must fit one group.
     """
     lkeys = [on_left] if isinstance(on_left, str) else list(on_left)
     rkeys = [on_right] if isinstance(on_right, str) else list(on_right)
     assert lkeys and len(lkeys) == len(rkeys), (lkeys, rkeys)
-    assert salt == 1 or len(lkeys) == 1, "salting is single-key only"
-
-    lsch, rsch = arrow_schema(left_ds.schema()), arrow_schema(right_ds.schema())
-    lcols = list(lsch.names)
-    rpay = [n for n in rsch.names if n not in rkeys]
-    for k in lkeys:
-        assert k in lcols, k
-    assert not set(rpay) & set(lcols), "column name collision"
-    reserved = {"gk", "side", "_salt_r"} & (set(lcols) | set(rsch.names))
-    assert not reserved, f"input columns collide with internal names: {reserved}"
     assert how in ("inner", "left", "outer"), how
-    assert not (how == "outer" and salt > 1), "full-outer + salting unsupported"
-    all_cols = lcols + rpay
-    all_types = {n: lsch.field(n).type for n in lcols}
-    all_types.update({n: rsch.field(n).type for n in rpay})
 
-    hot_arr = None
-    if salt > 1 and hot_keys is not None:
-        hk = sorted(set(hot_keys))
-        try:
-            hot_arr = np.asarray(hk, np.int64)
-        except (TypeError, ValueError):  # string keys
-            hot_arr = np.asarray([str(x) for x in hk], object)
-    def _pad(t: pa.Table, present: list, key_cols: dict,
-             key_arrs: list[np.ndarray], r: np.ndarray, side: int) -> pa.Table:
-        arrays = []
-        for name in all_cols:
-            if name in key_cols:
-                arrays.append(key_cols[name].cast(all_types[name]))
-            elif name in present:
-                arrays.append(t.column(name))
-            else:
-                arrays.append(pa.nulls(t.num_rows, all_types[name]))
-        out = pa.table(dict(zip(all_cols, arrays)))
-        out = out.append_column("_salt_r", pa.array(r.astype(np.int32), pa.int32()))
-        out = out.append_column(
-            "gk", pa.array(coarse_group_tuple(key_arrs, num_groups, r), pa.int32())
-        )
-        return out.append_column(
-            "side", pa.array(np.full(t.num_rows, side, np.int8), pa.int8())
-        )
+    lsch = arrow_schema(left_ds.schema())
+    for k in lkeys:
+        assert k in lsch.names, k
+    renames = {rk: lk for lk, rk in zip(lkeys, rkeys) if rk != lk}
+    if renames:
+        # right key columns travel under the LEFT names and types
+        key_types = {lk: lsch.field(lk).type for lk in renames.values()}
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        key_arrs = [t.column(k).to_numpy(zero_copy_only=False) for k in lkeys]
-        r = np.zeros(t.num_rows, np.int64)
-        if hot_arr is not None:
-            hot = np.isin(key_arrs[0], hot_arr)
-            # deterministic round-robin shard of a hot key's left rows
-            r[hot] = np.arange(int(hot.sum())) % salt
-        key_cols = {k: t.column(k) for k in lkeys}
-        return _pad(t, lcols, key_cols, key_arrs, r, 0)
+        def rename(t: pa.Table) -> pa.Table:
+            names = [renames.get(n, n) for n in t.column_names]
+            cols = [c.cast(key_types[n]) if n in key_types else c
+                    for n, c in zip(names, t.columns)]
+            return pa.Table.from_arrays(cols, names=names)
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        # right key columns travel under the LEFT names / types
-        key_cols = {lk: t.column(rk) for lk, rk in zip(lkeys, rkeys)}
-        key_arrs = [t.column(rk).to_numpy(zero_copy_only=False) for rk in rkeys]
-        zeros = np.zeros(t.num_rows, np.int64)
-        if hot_arr is None:
-            return _pad(t, rpay, key_cols, key_arrs, zeros, 1)
-        hot = np.isin(key_arrs[0], hot_arr)
-        parts = [_pad(t, rpay, key_cols, key_arrs, zeros, 1)]
-        if hot.any():
-            t_hot = t.filter(pa.array(hot))
-            kc_hot = {lkeys[0]: t_hot.column(rkeys[0])}
-            ka_hot = [key_arrs[0][hot]]
-            for rr in range(1, salt):  # replicas for the extra subgroups
-                parts.append(
-                    _pad(t_hot, rpay, kc_hot, ka_hot,
-                         np.full(t_hot.num_rows, rr, np.int64), 1)
-                )
-        return pa.concat_tables(parts)
-
-    empty_schema = pa.schema([pa.field(n, all_types[n]) for n in all_cols])
+        right_ds = right_ds.map_batches(rename, batch_format="pyarrow")
+    # coarse_cogroup reads the same schemas again from Ray's cache: the
+    # right leg's plan runs once for its schema, not once per probe
+    rsch = arrow_schema(right_ds.schema())
+    lcols = list(lsch.names)
+    rpay = [n for n in rsch.names if n not in lkeys]
+    assert not set(rpay) & set(lcols), "column name collision"
+    out_schema = pa.schema(
+        [lsch.field(n) for n in lcols] + [rsch.field(n) for n in rpay]
+    )
 
     def join_group(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions emit ARROW blocks
-        if t.num_rows == 0:
-            return empty_schema.empty_table()
-        # nullable Int64, NOT numpy int64: the null-padded union would
+        # nullable Int64, NOT numpy int64: the null-padded legs would
         # otherwise coerce int columns to float64 and corrupt int64 values
         # above 2^53 (observed on xxhash64-derived ids)
         df = t.to_pandas(
             types_mapper=lambda typ: pd.Int64Dtype() if typ == pa.int64() else None
         )
-        side = df.pop("side").to_numpy()
-        df.pop("gk")
-        # the salt id is part of the join key: a hot right replica only
-        # matches the left shard it was made for, so colliding coarse
-        # groups can never double-match
-        l = df.loc[side == 0, lcols + ["_salt_r"]]
-        r = df.loc[side == 1, lkeys + ["_salt_r"] + rpay]
-        out = l.merge(r, on=lkeys + ["_salt_r"], how=how, sort=False)
+        leg = df.pop(LEG).to_numpy()
+        out = df.loc[leg == 0, lcols].merge(
+            df.loc[leg == 1, lkeys + rpay], on=lkeys, how=how, sort=False
+        )
         # strip the pandas-dtype metadata from_pandas attaches, or the
         # nullable Int64 frame dtypes leak into downstream to_pandas calls
         return pa.Table.from_pandas(
-            out[all_cols], schema=empty_schema, preserve_index=False
+            out[out_schema.names], schema=out_schema, preserve_index=False
         ).replace_schema_metadata(None)
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
-    )
-    return both.groupby("gk").map_groups(join_group, batch_format="pyarrow")
+    return coarse_cogroup([left_ds, right_ds], lkeys[0], join_group, num_groups)

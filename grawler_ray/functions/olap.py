@@ -313,16 +313,6 @@ def grouped_skyline(
 
     def bucket_skyline(t: pa.Table) -> pa.Table:
         # one (group, bucket): dedup-sum identical points, local scan
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "bucket": pa.array([], pa.int64()),
-                    min_name: pa.array([], pa.int64()),
-                    max_name: pa.array([], pa.int64()),
-                    count_name: pa.array([], pa.int64()),
-                }
-            )
         p = t.column(min_name).to_numpy(zero_copy_only=False).astype(np.int64)
         q = t.column(max_name).to_numpy(zero_copy_only=False).astype(np.int64)
         n = t.column(count_name).to_numpy(zero_copy_only=False).astype(np.int64)

@@ -101,7 +101,7 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
     """
     import pyarrow.compute as pc
 
-    from ..shuffle import LEG, coarse_cogroup, coarse_group
+    from ..shuffle import LEG, coarse_cogroup, coarse_groupby
     from ..urlops import xxhash64_batch
 
     def positions(t: pa.Table) -> pa.Table:
@@ -116,7 +116,6 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
         h = xxhash64_batch(lines) if lines else np.zeros(0, np.uint64)
         return pa.table(
             {
-                "gk": pa.array(coarse_group(h, num_groups), pa.int32()),
                 "doc_id": pa.array(np.asarray(out_doc, np.int64), pa.int64()),
                 "pos": pa.array(np.asarray(out_pos, np.int64), pa.int64()),
                 "h": pa.array(h.view(np.int64), pa.int64()),
@@ -137,10 +136,8 @@ def _line_dedup_join(docs_ds, max_rep: int, sep: str, num_groups: int = 256):
             {"doc_id": kept.column("doc_id"), "pos": kept.column("pos")}
         )
 
-    dropped = (
-        docs_ds.map_batches(positions, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(dropped_in_group, batch_format="pyarrow")
+    dropped = coarse_groupby(
+        docs_ds.map_batches(positions, batch_format="pyarrow"), "h", dropped_in_group, num_groups
     )
 
     def rewrite_group(t: pa.Table) -> pa.Table:

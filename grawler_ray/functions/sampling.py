@@ -207,7 +207,6 @@ def group_topk(
     value_col: str,
     k: int = 3,
     num_groups: int = 256,
-    group_dtype: str = "int64",
 ):
     """Value-ordered per-group top-k (the ranking window): keep each
     group's ``k`` highest-``value_col`` rows, ties broken by ``id_col``
@@ -216,9 +215,7 @@ def group_topk(
 
     ``value_col`` must be int64 (callers pre-scale money to cents — float
     ordering ties would diverge from the oracle).  Group keys are int64 or
-    string — pass ``group_dtype="string"`` for string keys (empty sparse
-    partitions emit ZERO-column blocks, so the output type can't be read
-    from the block).  Output (group_col, id_col, value_col, rank 1-based).
+    string.  Output (group_col, id_col, value_col, rank 1-based).
 
     Scale shape: same as cap_per_group / group_sample_k — ONE coarse
     group-hash shuffle of three int columns (payload never moves),
@@ -228,20 +225,7 @@ def group_topk(
     """
     import pandas as pd
 
-    empty = pa.schema(
-        [
-            pa.field(group_col, pa.string() if group_dtype == "string" else pa.int64()),
-            pa.field(id_col, pa.int64()),
-            pa.field(value_col, pa.int64()),
-            pa.field("rank", pa.int64()),
-        ]
-    )
-
     def rank_groups(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse group key
-        # space emit ARROW blocks (CLAUDE.md block-type rule)
-        if t.num_rows == 0:
-            return empty.empty_table()
         df = t.to_pandas().sort_values(
             [group_col, value_col, id_col], ascending=[True, False, True]
         )
@@ -297,26 +281,7 @@ def group_ntile(
     """
     import pandas as pd
 
-    key_type = pa.string()
-    for name, typ in zip(ds.schema().names, ds.schema().types):
-        if name == group_col and (
-            isinstance(typ, pa.DataType) and pa.types.is_integer(typ)
-        ):
-            key_type = pa.int64()
-    empty = pa.schema(
-        [
-            pa.field(group_col, key_type),
-            pa.field(id_col, pa.int64()),
-            pa.field(value_col, pa.int64()),
-            pa.field("tile", pa.int64()),
-        ]
-    )
-
     def tile_groups(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse group key
-        # space emit ARROW blocks (CLAUDE.md block-type rule)
-        if t.num_rows == 0:
-            return empty.empty_table()
         df = t.to_pandas().sort_values(
             [group_col, value_col, id_col], ascending=[True, False, True]
         )
@@ -339,8 +304,7 @@ def group_ntile(
         gout = df[group_col].to_numpy()
         return pa.table(
             {
-                # explicit int64: an int32 input group column must not mix
-                # block schemas with the int64 empty-partition declaration
+                # explicit int64: every output block has one key type
                 group_col: pa.array(gout.astype(np.int64), pa.int64())
                 if gout.dtype.kind == "i"
                 else pa.array(gout.tolist(), pa.string()),
@@ -464,19 +428,7 @@ def shuffle_shards(ds, id_col: str = "doc_id", num_shards: int = 16):
             }
         )
 
-    empty = pa.schema(
-        [
-            pa.field(id_col, pa.int64()),
-            pa.field("shard", pa.int64()),
-            pa.field("pos", pa.int64()),
-        ]
-    )
-
     def rank_shard(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse key
-        # space emit ARROW blocks (CLAUDE.md block-type rule)
-        if t.num_rows == 0:
-            return empty.empty_table()
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
         hk = t.column("hkey").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, hk))
@@ -535,18 +487,6 @@ def group_sample_k(
         )
 
     def rank_groups(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions of the sparse group key
-        # space emit ARROW blocks (CLAUDE.md block-type rule)
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    group_col: pa.array([], pa.string()),
-                    "rank": pa.array([], pa.int64()),
-                }
-            )
-        import pandas as pd
-
         df = t.to_pandas().sort_values([group_col, "hkey", id_col])
         codes = pd.factorize(df[group_col].to_numpy())[0]
         idx = np.arange(len(df))
@@ -599,22 +539,9 @@ def token_budget_cap(
             }
         )
 
-    empty = pa.schema(
-        [
-            pa.field(order_col, pa.int64()),
-            pa.field(group_col, pa.string()),
-            pa.field(weight_col, pa.int64()),
-            pa.field("cum", pa.int64()),
-        ]
-    )
-
     def cap_groups(t: pa.Table) -> pa.Table:
         import pandas as pd
 
-        # pyarrow-format map_groups: empty partitions of the sparse group key
-        # space emit ARROW blocks (CLAUDE.md block-type rule)
-        if t.num_rows == 0:
-            return empty.empty_table()
         df = t.to_pandas().sort_values([group_col, order_col])
         codes = pd.factorize(df[group_col].to_numpy())[0]
         w = df[weight_col].to_numpy(np.int64)
@@ -736,18 +663,7 @@ def grouped_percent_rank(
     """
     import pandas as pd
 
-    empty = pa.schema(
-        [
-            pa.field(group_col, pa.string()),
-            pa.field(id_col, pa.int64()),
-            pa.field(value_col, pa.int64()),
-            pa.field("pr", pa.float64()),
-        ]
-    )
-
     def rank_groups(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty.empty_table()
         df = t.to_pandas().sort_values(
             [group_col, value_col, id_col], ascending=True
         )

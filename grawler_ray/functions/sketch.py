@@ -398,19 +398,7 @@ def grouped_quantile_sketch(ds, group_col: str, value_col: str,
             }
         )
 
-    out_schema = pa.schema(
-        [
-            pa.field(group_col, pa.string()),
-            pa.field("q_pct", pa.int64()),
-            pa.field("est_value", pa.int64()),
-            pa.field("n", pa.int64()),
-        ]
-    )
-
     def merge_group(t: pa.Table) -> pa.Table:
-        # pyarrow-format map_groups: empty partitions emit ARROW blocks
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         g = t.column(group_col).to_pylist()[0]
         merged: dict[int, int] = {}
         n = 0

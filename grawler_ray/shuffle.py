@@ -23,7 +23,6 @@ import pyarrow.compute as pc
 from .urlops import xxhash64_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio (Fibonacci hashing)
-_SALT_C = np.uint64(0xC2B2AE3D27D4EB4F)
 
 _BYTES_TYPES = (
     pa.types.is_string, pa.types.is_large_string, pa.types.is_binary, pa.types.is_large_binary
@@ -78,20 +77,6 @@ def coarse_group(keys, num_groups: int) -> np.ndarray:
     if null is not None:
         g[null] = 0
     return g
-
-
-def coarse_group_tuple(columns: list, num_groups: int, salt=None) -> np.ndarray:
-    """coarse_group of composite keys (one array per key column) plus
-    optional int salt ids: the per-column hashes chain as
-    ``mix = (mix ^ h) * golden``, the salt adds ``salt * C``, and the group
-    is ``(mix >> 33) % G``.  One integer column without salt gives exactly
-    ``coarse_group``'s integer ids."""
-    mix = np.zeros(len(columns[0]), np.uint64)
-    for col in columns:
-        mix = (mix ^ _hash64(col)[0]) * _GOLDEN
-    if salt is not None:
-        mix = mix + np.asarray(salt).astype(np.uint64) * _SALT_C
-    return ((mix >> np.uint64(33)) % np.uint64(num_groups)).astype(np.int32)
 
 
 def arrow_schema(schema) -> pa.Schema:

@@ -660,29 +660,57 @@ class TestRepartitionJoin:
             }
         )
         # duplicate keys on BOTH sides: full inner-join multiplicity
-        right = pd.DataFrame(
-            {
-                "rk": rng.integers(0, 80, 150).astype(np.int64),
-                "rv": [f"r{i}" for i in range(150)],
-            }
-        )
-        got = (
-            repartition_join(
-                ray.data.from_pandas(left).repartition(8),
-                ray.data.from_pandas(right).repartition(8),
-                on_left="k",
-                on_right="rk",
+        rk = rng.integers(0, 80, 150)
+        # an int32 right key travels under the left name, cast to int64
+        for rk_dtype in (np.int64, np.int32):
+            right = pd.DataFrame(
+                {"rk": rk.astype(rk_dtype), "rv": [f"r{i}" for i in range(150)]}
             )
-            .to_pandas()
-            .sort_values(["k", "lv", "rv"])
-            .reset_index(drop=True)
-        )
-        want = (
-            left.merge(right.rename(columns={"rk": "k"}), on="k", how="inner")
-            .sort_values(["k", "lv", "rv"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got[["k", "lv", "rv"]], want[["k", "lv", "rv"]])
+            got = (
+                repartition_join(
+                    ray.data.from_pandas(left).repartition(8),
+                    ray.data.from_pandas(right).repartition(8),
+                    on_left="k",
+                    on_right="rk",
+                )
+                .to_pandas()
+                .sort_values(["k", "lv", "rv"])
+                .reset_index(drop=True)
+            )
+            assert list(got.columns) == ["k", "lv", "rv"]
+            assert got["k"].dtype == np.int64
+            want = (
+                left.merge(right.rename(columns={"rk": "k"}), on="k", how="inner")
+                .sort_values(["k", "lv", "rv"])
+                .reset_index(drop=True)
+            )
+            pd.testing.assert_frame_equal(got, want[["k", "lv", "rv"]])
+
+    def test_right_side_runs_once_for_schema_once_for_join(self, ray_session, tmp_path):
+        """A renamed right side is read for its schema once: its map runs
+        one schema probe plus the join, never a second probe."""
+        import os
+        import tempfile
+
+        import ray.data
+
+        from grawler_ray.functions.joins import repartition_join
+
+        calls = tmp_path / "calls"
+        calls.mkdir()
+
+        def counted(t):
+            os.close(tempfile.mkstemp(dir=calls)[0])  # one file per call
+            return t
+
+        left = ray.data.from_pandas(pd.DataFrame({"k": np.arange(50, dtype=np.int64)}))
+        right = ray.data.from_pandas(
+            pd.DataFrame({"rk": np.arange(0, 50, 5, dtype=np.int32),
+                          "rv": np.arange(10, dtype=np.int64)})
+        ).map_batches(counted, batch_format="pyarrow")
+        got = repartition_join(left, right, on_left="k", on_right="rk").to_pandas()
+        assert sorted(got.k) == list(range(0, 50, 5))
+        assert len(list(calls.iterdir())) <= 2
 
     def test_no_matches_yields_empty_with_schema(self, ray_session):
         import ray.data
@@ -700,45 +728,6 @@ class TestRepartitionJoin:
         )
         df = got.to_pandas()
         assert len(df) == 0
-
-
-class TestSaltedJoin:
-    def test_salted_equals_unsalted_on_skewed_keys(self, ray_session):
-        import ray.data
-
-        from grawler_ray.functions.joins import repartition_join
-
-        rng = np.random.default_rng(43)
-        # key 7 is hot: half of all left rows
-        keys = np.where(rng.random(600) < 0.5, 7, rng.integers(0, 40, 600)).astype(np.int64)
-        left = pd.DataFrame({"k": keys, "lv": np.arange(600, dtype=np.int64)})
-        right = pd.DataFrame(
-            {
-                "rk": rng.integers(0, 40, 120).astype(np.int64),
-                "rv": np.arange(120, dtype=np.int64),
-            }
-        )
-        lds = ray.data.from_pandas(left).repartition(8)
-        rds = ray.data.from_pandas(right).repartition(8)
-        plain = (
-            repartition_join(lds, rds, "k", "rk")
-            .to_pandas()
-            .sort_values(["k", "lv", "rv"])
-            .reset_index(drop=True)
-        )
-        salted = (
-            repartition_join(lds, rds, "k", "rk", salt=4, hot_keys=[7])
-            .to_pandas()
-            .sort_values(["k", "lv", "rv"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(salted, plain[salted.columns])
-        want = (
-            left.merge(right.rename(columns={"rk": "k"}), on="k")
-            .sort_values(["k", "lv", "rv"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(salted[["k", "lv", "rv"]], want[["k", "lv", "rv"]])
 
 
 class TestStringKeyJoins:
@@ -829,8 +818,7 @@ def test_repartition_join_left_outer(ray_session):
 
 def test_repartition_join_full_outer(ray_session):
     """how='outer' additionally keeps unmatched RIGHT rows (key coalesced,
-    left payload null); salting is rejected."""
-    import pytest
+    left payload null)."""
     import ray.data
 
     from grawler_ray.functions.joins import repartition_join
@@ -858,10 +846,6 @@ def test_repartition_join_full_outer(ray_session):
     assert (right_only.rv.to_numpy() == right_only.k.to_numpy() * 100).all()
     # null repr rule: Arrow int64-with-nulls -> float64/NaN, never Int64
     assert out.lv.dtype.kind == "f" and out.rv.dtype.kind == "f"
-    with pytest.raises(AssertionError):
-        repartition_join(
-            left, right, on_left="k", on_right="rk", how="outer", salt=2, hot_keys=[5]
-        )
 
 
 def test_group_topk_rank_and_ties(ray_session):
@@ -947,16 +931,11 @@ def test_repartition_join_composite_keys(ray_session):
         nan_g, nan_e = pd.isna(gv), pd.isna(ev)
         assert (nan_g == nan_e).all()
         assert (gv[~nan_g] == ev[~nan_e]).all()
-    # mismatched key-list lengths and salted composites are rejected
+    # mismatched key-list lengths are rejected
     import pytest
 
     with pytest.raises(AssertionError):
         repartition_join(
             ray.data.from_pandas(l), ray.data.from_pandas(r),
             on_left=["u", "ty"], on_right=["ru"],
-        )
-    with pytest.raises(AssertionError):
-        repartition_join(
-            ray.data.from_pandas(l), ray.data.from_pandas(r),
-            on_left=["u", "ty"], on_right=["ru", "rty"], salt=2, hot_keys=[3],
         )

@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from grawler_ray.shuffle import LEG, TAG, coarse_cogroup, coarse_group, coarse_group_tuple, key_index
+from grawler_ray.shuffle import LEG, TAG, coarse_cogroup, coarse_group, key_index
 from grawler_ray.urlops import xxhash64_batch
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -107,13 +107,12 @@ def test_fractional_float_keys_raise():
         coarse_group(np.array([1.5]), 8)
 
 
-def test_tuple_single_int_key_is_coarse_group():
-    # repartition_join's single-key, unsalted groups equal coarse_group's
-    np.testing.assert_array_equal(coarse_group_tuple([IDS], 64), coarse_group(IDS, 64))
-    r = np.arange(len(IDS)) % 3
-    salted = coarse_group_tuple([IDS], 64, r)
-    mix = IDS.astype(np.uint64) * GOLDEN + r.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-    np.testing.assert_array_equal(salted, ((mix >> np.uint64(33)) % np.uint64(64)).astype(np.int32))
+def test_int64_view_of_uint64_hash_keeps_groups():
+    # line_dedup's join plan groups on the int64 column holding the line
+    # hash's bits; its groups equal those of the uint64 hash itself
+    h = xxhash64_batch(HOSTS)
+    for keys in (h.view(np.int64), pa.array(h.view(np.int64))):
+        np.testing.assert_array_equal(coarse_group(keys, 256), coarse_group(h, 256))
 
 
 def test_no_second_partition_hash_in_package():
@@ -308,10 +307,9 @@ def _union_exchanges():
 
 
 def test_no_hand_written_union_exchange_in_package():
-    """Two-sided exchanges go through shuffle.coarse_cogroup.  A hand-written
-    union feeding an exchange is left only in repartition_join, whose
-    salted composite-key tag the cogroup does not take."""
-    allowed = {"repartition_join"}
+    """Two-sided exchanges go through shuffle.coarse_cogroup: no function
+    in the package feeds a hand-written union into an exchange."""
+    allowed = set()
     bad = [
         f"{where} ({fn})" for where, fn in _union_exchanges()
         if not any(fn == a or fn.startswith(a + ".") for a in allowed)
